@@ -4,7 +4,7 @@
 //! Includes the soft-vs-hard voting ablation from DESIGN.md §4.
 
 use bench::{
-    classifier_latency_s, common_eval_set, eval_accuracy, family_genomes, header, prepared_data,
+    common_eval_set, ensemble_latency_s, eval_accuracy, family_genomes, header, prepared_data,
     row, train_one, Scale, EEG_CHANNELS,
 };
 use ml::ensemble::{Ensemble, Voting};
@@ -33,7 +33,8 @@ fn main() {
     header(&["model", "accuracy", "inference (ms)", "params"]);
     for t in &members {
         let acc = eval_accuracy(&eval_set, |w| t.artifact.predict(w, EEG_CHANNELS));
-        let lat = classifier_latency_s(&eval_set, 20, |w| t.artifact.predict(w, EEG_CHANNELS));
+        let solo = Ensemble::new(vec![t.artifact.clone().into_member()], Voting::Soft);
+        let lat = ensemble_latency_s(&eval_set, &solo);
         row(&[
             t.name.clone(),
             format!("{acc:.3}"),
@@ -57,8 +58,7 @@ fn main() {
                 Voting::Soft,
             );
             let acc = eval_accuracy(&eval_set, |w| ensemble.predict(w, EEG_CHANNELS));
-            let lat =
-                classifier_latency_s(&eval_set, 20, |w| ensemble.predict(w, EEG_CHANNELS));
+            let lat = ensemble_latency_s(&eval_set, &ensemble);
             let label = format!("{} + {}", names[i], names[j]);
             row(&[
                 label.clone(),

@@ -7,7 +7,7 @@
 //! latency; global int8 is the fastest and the least accurate.
 
 use bench::{
-    classifier_latency_s, common_eval_set, eval_accuracy, family_genomes, header, prepared_data,
+    common_eval_set, ensemble_latency_s, eval_accuracy, family_genomes, header, prepared_data,
     row, train_one, Scale, EEG_CHANNELS,
 };
 use cognitive_arm::eval::TrainedArtifact;
@@ -43,7 +43,7 @@ fn measure(
         Voting::Soft,
     );
     let acc = eval_accuracy(eval_set, |w| ensemble.predict(w, EEG_CHANNELS));
-    let lat = classifier_latency_s(eval_set, 20, |w| ensemble.predict(w, EEG_CHANNELS));
+    let lat = ensemble_latency_s(eval_set, &ensemble);
     let params = ensemble.param_count();
     let bytes: usize = models.iter().map(storage_bytes).sum();
     println!(

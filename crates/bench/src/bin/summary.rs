@@ -4,7 +4,7 @@
 //! the compressed variants.
 
 use bench::{
-    classifier_latency_s, common_eval_set, eval_accuracy, family_genomes, header, prepared_data,
+    common_eval_set, ensemble_latency_s, eval_accuracy, family_genomes, header, prepared_data,
     row, train_one, Scale, EEG_CHANNELS,
 };
 use cognitive_arm::eval::{loso_accuracies, TrainedArtifact};
@@ -73,7 +73,7 @@ fn main() {
             Voting::Soft,
         );
         let acc = eval_accuracy(&eval_set, |w| e.predict(w, EEG_CHANNELS));
-        let lat = classifier_latency_s(&eval_set, 20, |w| e.predict(w, EEG_CHANNELS));
+        let lat = ensemble_latency_s(&eval_set, &e);
         row(&[label.to_owned(), format!("{acc:.3}"), format!("{:.2}", lat * 1e3)]);
         (acc, lat)
     };
@@ -94,11 +94,11 @@ fn main() {
     println!("\n## Paper vs measured\n");
     header(&["metric", "paper", "measured"]);
     row(&["ensemble accuracy".into(), "91%".into(), format!("{:.0}%", dense_acc * 100.0)]);
-    row(&["ensemble latency".into(), "0.075 s (Jetson)".into(), format!("{:.4} s (host CPU)", dense_lat)]);
+    row(&["ensemble latency".into(), "0.075 s (Jetson)".into(), format!("{dense_lat:.6} s (host CPU)")]);
     row(&["70% pruned accuracy".into(), "90.1%".into(), format!("{:.0}%", pr_acc * 100.0)]);
-    row(&["70% pruned latency".into(), "0.071 s".into(), format!("{:.4} s", pr_lat)]);
+    row(&["70% pruned latency".into(), "0.071 s".into(), format!("{pr_lat:.6} s")]);
     row(&["int8 accuracy".into(), "38.5%".into(), format!("{:.0}%", q_acc * 100.0)]);
-    row(&["int8 latency".into(), "0.036 s".into(), format!("{:.4} s", q_lat)]);
+    row(&["int8 latency".into(), "0.036 s".into(), format!("{q_lat:.6} s")]);
     println!("\nshape checks: pruned ≈ dense accuracy: {}; pruned faster than dense: {}; int8 fastest: {}; int8 least accurate: {}",
         (pr_acc - dense_acc).abs() < 0.06,
         pr_lat <= dense_lat * 1.05,

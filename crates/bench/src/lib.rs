@@ -164,8 +164,10 @@ use eeg::dataset::train_val_split;
 use eeg::types::LabeledWindow;
 use eeg::CHANNELS;
 use evo::Genome;
+use exec::ExecPool;
+use ml::ensemble::{Ensemble, EnsembleScratch};
 use ml::forest::ForestConfig;
-use ml::models::{CnnConfig, LstmConfig, TransformerConfig};
+use ml::models::{CnnConfig, LstmConfig, TransformerConfig, CLASSES};
 use ml::optim::OptimizerKind;
 
 /// A named trained artifact with its validation accuracy.
@@ -286,15 +288,20 @@ pub fn eval_accuracy(
     correct as f64 / windows.len() as f64
 }
 
-/// Mean single-window inference seconds for a classifier.
-pub fn classifier_latency_s(
-    windows: &[LabeledWindow],
-    iters: usize,
-    mut classify: impl FnMut(&[f32]) -> usize,
-) -> f64 {
+/// Mean steady-state seconds to classify one window through `ensemble`'s
+/// compiled serving path: one [`EnsembleScratch`] (every member's plan
+/// compiled once, outside the timing) reused by
+/// [`Ensemble::predict_batch_into`] at batch 1 on a 1-thread pool — the
+/// per-label cost a warm session pays, averaged over 500 calls.
+/// [`Ensemble::predict`] would build a fresh scratch per call and time
+/// plan compilation instead.
+pub fn ensemble_latency_s(windows: &[LabeledWindow], ensemble: &Ensemble) -> f64 {
+    let pool = ExecPool::new(1);
+    let mut scratch = EnsembleScratch::new(ensemble);
+    let mut probs = [0.0f32; CLASSES];
     let w = &windows[0].data;
-    time_mean_s(iters, || {
-        let _ = classify(w);
+    time_mean_s(500, || {
+        ensemble.predict_batch_into(w, 1, CHANNELS, &pool, &mut scratch, &mut probs);
     })
 }
 

@@ -860,13 +860,7 @@ impl Ensemble {
             }
             Voting::Hard => {
                 for p in probas {
-                    let arg = p
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
-                        .map(|(i, _)| i)
-                        .unwrap_or(0);
-                    acc[arg] += 1.0;
+                    acc[argmax(p)] += 1.0;
                 }
             }
         }
@@ -898,17 +892,22 @@ impl Ensemble {
 /// batched classification (the serving micro-batcher) picks exactly the
 /// label [`Ensemble::predict`] would.
 ///
-/// # Panics
-///
-/// Panics on non-finite probabilities.
+/// Total over every input: NaN entries never win, a row with no non-NaN
+/// entry (or no entry) yields 0, and among equal maxima the *last* index
+/// wins (`+0.0` and `-0.0` count as equal), so finite rows pick what
+/// `Iterator::max_by` over `partial_cmp` always picked.
 #[must_use]
 pub fn argmax(probs: &[f32]) -> usize {
-    probs
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
+    let mut best: Option<(usize, f32)> = None;
+    for (i, &p) in probs.iter().enumerate() {
+        if p.is_nan() {
+            continue;
+        }
+        if best.is_none_or(|(_, b)| p >= b) {
+            best = Some((i, p));
+        }
+    }
+    best.map_or(0, |(i, _)| i)
 }
 
 #[cfg(test)]
@@ -1143,6 +1142,81 @@ mod tests {
         assert_eq!(c.window(), e.window());
         let w = vec![0.0f32; 2 * 8];
         assert_eq!(c.predict(&w, 2), e.predict(&w, 2));
+    }
+
+    #[test]
+    fn argmax_keeps_the_last_of_tied_maxima() {
+        assert_eq!(argmax(&[0.2, 0.5, 0.3]), 1);
+        assert_eq!(argmax(&[0.4, 0.4, 0.2]), 1);
+        assert_eq!(argmax(&[0.3, 0.3, 0.3]), 2);
+        assert_eq!(argmax(&[0.0, -0.0]), 1);
+        assert_eq!(argmax(&[-0.0, 0.0]), 1);
+        assert_eq!(argmax(&[]), 0);
+        // Agrees with the `max_by` rule it replaced on finite rows.
+        let rows: [&[f32]; 4] = [&[1.0, 3.0, 3.0, 2.0], &[-1.0, -2.0], &[5.0], &[0.1, 0.9, 0.9]];
+        for row in rows {
+            let old = row
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+                .map_or(0, |(i, _)| i);
+            assert_eq!(argmax(row), old, "{row:?}");
+        }
+    }
+
+    #[test]
+    fn argmax_never_picks_nan() {
+        assert_eq!(argmax(&[f32::NAN, 0.1, 0.2]), 2);
+        assert_eq!(argmax(&[0.7, f32::NAN, 0.2]), 0);
+        assert_eq!(argmax(&[0.1, 0.2, f32::NAN]), 1);
+        assert_eq!(argmax(&[f32::NAN, f32::NAN, f32::NAN]), 0);
+        assert_eq!(argmax(&[f32::NAN, f32::NAN, -1.0]), 2);
+    }
+
+    #[test]
+    fn argmax_orders_infinities() {
+        assert_eq!(argmax(&[0.5, f32::INFINITY, 0.9]), 1);
+        assert_eq!(argmax(&[f32::INFINITY, 0.5, f32::INFINITY]), 2);
+        assert_eq!(argmax(&[f32::NEG_INFINITY, f32::NEG_INFINITY]), 1);
+        assert_eq!(argmax(&[f32::NEG_INFINITY, -3.0e38]), 1);
+        assert_eq!(argmax(&[f32::NAN, f32::NEG_INFINITY]), 1);
+    }
+
+    #[test]
+    fn hard_voting_survives_an_all_nan_member() {
+        /// A member whose probabilities are all NaN (a faulted window).
+        #[derive(Clone)]
+        struct Poisoned;
+        impl Classifier for Poisoned {
+            fn predict_proba_window(&self, _: &[f32], _: usize, _: usize) -> Vec<f32> {
+                vec![f32::NAN; CLASSES]
+            }
+            fn window(&self) -> usize {
+                4
+            }
+            fn name(&self) -> String {
+                "poisoned".into()
+            }
+            fn param_count(&self) -> usize {
+                0
+            }
+            fn clone_box(&self) -> Box<dyn Classifier> {
+                Box::new(self.clone())
+            }
+        }
+        let e = Ensemble::new(
+            vec![
+                Member::Custom(Box::new(Poisoned)),
+                Member::Custom(Box::new(Fixed { class: 2, window: 4 })),
+                Member::Custom(Box::new(Fixed { class: 2, window: 4 })),
+            ],
+            Voting::Hard,
+        );
+        let w = vec![0.0f32; 2 * 4];
+        // The poisoned member votes for class 0; the two healthy ones win.
+        assert_eq!(e.predict(&w, 2), 2);
+        let p = e.predict_proba(&w, 2);
+        assert!((p[0] - 1.0 / 3.0).abs() < 1e-6 && (p[2] - 2.0 / 3.0).abs() < 1e-6);
     }
 
     #[test]

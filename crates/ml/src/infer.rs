@@ -20,7 +20,7 @@ use crate::models::{
     CnnModel, LstmModel, Model, PoolKind, TransformerModel,
 };
 use crate::sparse::CsrMatrix;
-use crate::tensor::Tensor;
+use crate::tensor::{ConvGather, Tensor};
 
 /// How a weight matrix is stored and multiplied.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -450,8 +450,13 @@ impl ConvInfer {
     /// Lowers one image into conv patches: `cols` receives the
     /// `[spots, patch]` matrix the weight multiply consumes. Split out of
     /// [`ConvInfer::forward_into`] so the batched (plan-v2) path can stack
-    /// many windows' patch matrices into one GEMM; values are identical.
-    pub(crate) fn im2col_into(&self, img: &[f32], cols: &mut [f32]) {
+    /// many windows' patch matrices into one GEMM for CSR/int8 weights;
+    /// values are identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `img` or `cols` is shorter than the stage implies.
+    pub fn im2col_into(&self, img: &[f32], cols: &mut [f32]) {
         let (ho, wo) = self.conv_out();
         let patch = self.cin * self.k * self.k;
         let cols = &mut cols[..ho * wo * patch];
@@ -473,6 +478,14 @@ impl ConvInfer {
                 }
             }
         }
+    }
+
+    /// The offset tables that read this stage's `im2col` matrix straight
+    /// from its input image ([`crate::tensor::matmul_blocked_gather_kernel`],
+    /// the plan-v2 implicit GEMM for dense weights).
+    #[must_use]
+    pub fn gather(&self) -> ConvGather {
+        ConvGather::new(self.cin, self.h, self.wdim, self.k, self.stride)
     }
 
     /// The conv epilogue: bias + fused ReLU (transposing `[spots, cout]`

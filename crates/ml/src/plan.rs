@@ -39,11 +39,38 @@
 //!
 //! Select globally with `COGARM_PLAN=1` (or `v1`) in the environment, or
 //! explicitly per plan via [`InferPlan::compile_with`].
+//!
+//! # Same-bits kernels
+//!
+//! Two stages run kernels that replay the exact arithmetic of the path
+//! they replaced with less work, so neither is a numerics version:
+//!
+//! * **Conv lowering (v2, dense weights).** A conv stage does not stage
+//!   an `im2col` matrix. [`crate::tensor::matmul_blocked_gather_kernel`]
+//!   reads patch element `p` of output spot `s` straight from the
+//!   activations at `img[base[s] + off[p]]`, through a [`ConvGather`]
+//!   table compiled with the plan. It is the blocked GEMM's own body,
+//!   monomorphized over how it reads its left operand, so each output
+//!   gets the same multiply/pair-add/accumulate sequence on the same
+//!   values the `im2col` matrix would have held. CSR and int8 conv
+//!   weights, and v1, still lower through `im2col`.
+//! * **Attention scores (v1 and v2).**
+//!   [`crate::tensor::attention_scores_kernel`] reads a head's queries and
+//!   keys in place from the stacked projection rows, transposes the keys
+//!   into plan-owned scratch and accumulates with lanes over keys. Each
+//!   score keeps [`crate::tensor::matmul_t_kernel`]'s order (`+0.0`, then
+//!   `q[d]·k[d]` for `d` ascending, no FMA), so v1 bits are untouched too.
+//!
+//! The golden traces of both versions lock that, together with the
+//! seeded sweeps in `tests/tests/classify_kernels.rs`.
 
 use crate::infer::{
-    self, CnnInfer, InferModel, LstmInfer, ExecScratch, TfInfer,
+    self, CnnInfer, ConvInfer, ExecScratch, InferModel, LstmInfer, MatRep, TfInfer,
 };
-use crate::tensor::{matmul_kernel, matmul_t_kernel};
+use crate::tensor::{
+    attention_scores_kernel, matmul_blocked_gather_kernel, matmul_kernel, scores_key_stride,
+    ConvGather,
+};
 
 /// Which numerics generation a compiled plan (or ensemble scratch) runs —
 /// see the module docs for the contract each version carries.
@@ -94,7 +121,9 @@ enum KindPlan {
     Tf(TfPlan),
 }
 
-/// Ping-pong activation buffers plus per-stage im2col scratch.
+/// Ping-pong activation buffers plus the conv stages' GEMM staging.
+/// `cols` holds `im2col` patches only for stages that still lower through
+/// it (every stage under v1; CSR/int8 weights under v2).
 #[derive(Debug, Clone)]
 struct CnnPlan {
     a: Vec<f32>,
@@ -102,6 +131,8 @@ struct CnnPlan {
     cols: Vec<f32>,
     flat: Vec<f32>,
     prepool: Vec<f32>,
+    /// Per conv stage: the implicit-GEMM offset tables.
+    gathers: Vec<ConvGather>,
 }
 
 /// Recurrent state and gate buffers, one slot per layer.
@@ -125,9 +156,9 @@ struct TfPlan {
     q: Vec<f32>,
     k: Vec<f32>,
     v: Vec<f32>,
-    head_q: Vec<f32>,
-    head_k: Vec<f32>,
     head_v: Vec<f32>,
+    /// One head's keys transposed for the key-parallel score kernel.
+    kt: Vec<f32>,
     scores: Vec<f32>,
     ho: Vec<f32>,
     merged: Vec<f32>,
@@ -157,7 +188,7 @@ impl InferPlan {
         // and the memoized forms are shared by every clone of the model.
         model.visit_weights(infer::MatRep::precompile);
         let kind = match model {
-            InferModel::Cnn(m) => KindPlan::Cnn(CnnPlan::compile(m)),
+            InferModel::Cnn(m) => KindPlan::Cnn(CnnPlan::compile(m, version)),
             InferModel::Lstm(m) => KindPlan::Lstm(LstmPlan::compile(m)),
             InferModel::Transformer(m) => KindPlan::Tf(TfPlan::compile(m)),
         };
@@ -264,26 +295,46 @@ impl InferPlan {
 }
 
 impl CnnPlan {
-    fn compile(m: &CnnInfer) -> Self {
-        let mut act = m.channels * m.window;
-        let (mut cols, mut flat, mut prepool) = (0usize, 0usize, 0usize);
-        for conv in &m.convs {
-            let (ho, wo) = conv.conv_out();
-            let spots = ho * wo;
-            let patch = conv.cin * conv.k * conv.k;
-            let cout = conv.bias.len();
-            cols = cols.max(spots * patch);
-            flat = flat.max(spots * cout);
-            prepool = prepool.max(cout * spots);
-            act = act.max(conv.out_len());
-        }
+    fn compile(m: &CnnInfer, version: PlanVersion) -> Self {
+        let (act, cols, flat, prepool) = Self::sizes(m, version, 1);
         Self {
             a: vec![0.0; act],
             b: vec![0.0; act],
             cols: vec![0.0; cols],
             flat: vec![0.0; flat],
             prepool: vec![0.0; prepool],
+            gathers: m.convs.iter().map(ConvInfer::gather).collect(),
         }
+    }
+
+    /// Whether a stage runs the implicit GEMM (v2, dense weights) rather
+    /// than `im2col` staging plus the representation's own kernel.
+    fn implicit(conv: &ConvInfer, version: PlanVersion) -> bool {
+        version == PlanVersion::V2 && matches!(conv.w, MatRep::Dense(_))
+    }
+
+    /// Buffer lengths `(act, cols, flat, prepool)` for `batch` windows.
+    /// Implicit stages stage nothing in `cols` and need `flat` for one
+    /// window only (their epilogue runs right after each window's GEMM);
+    /// `prepool` is always per-window.
+    fn sizes(m: &CnnInfer, version: PlanVersion, batch: usize) -> (usize, usize, usize, usize) {
+        let mut act = m.channels * m.window;
+        let (mut cols, mut flat, mut prepool) = (0usize, 0usize, 0usize);
+        for conv in &m.convs {
+            let (ho, wo) = conv.conv_out();
+            let spots = ho * wo;
+            let cout = conv.bias.len();
+            let rows = if Self::implicit(conv, version) {
+                spots
+            } else {
+                cols = cols.max(batch * spots * conv.cin * conv.k * conv.k);
+                batch * spots
+            };
+            flat = flat.max(rows * cout);
+            prepool = prepool.max(cout * spots);
+            act = act.max(conv.out_len());
+        }
+        (act * batch, cols, flat, prepool)
     }
 
     fn run(&mut self, m: &CnnInfer, window: &[f32], logits: &mut [f32], qs: &mut ExecScratch) {
@@ -304,30 +355,24 @@ impl CnnPlan {
     }
 
     /// Scales the ping-pong and GEMM staging buffers to hold `batch`
-    /// windows (`prepool` stays per-window — the conv epilogue runs one
-    /// window at a time).
+    /// windows under v2 (see [`CnnPlan::sizes`]).
     fn grow(&mut self, m: &CnnInfer, batch: usize) {
-        let mut act = m.channels * m.window;
-        let (mut cols, mut flat) = (0usize, 0usize);
-        for conv in &m.convs {
-            let (ho, wo) = conv.conv_out();
-            let spots = ho * wo;
-            let patch = conv.cin * conv.k * conv.k;
-            cols = cols.max(spots * patch);
-            flat = flat.max(spots * conv.bias.len());
-            act = act.max(conv.out_len());
-        }
-        self.a.resize(act * batch, 0.0);
-        self.b.resize(act * batch, 0.0);
-        self.cols.resize(cols * batch, 0.0);
-        self.flat.resize(flat * batch, 0.0);
+        let (act, cols, flat, _) = Self::sizes(m, PlanVersion::V2, batch);
+        self.a.resize(act, 0.0);
+        self.b.resize(act, 0.0);
+        self.cols.resize(cols, 0.0);
+        self.flat.resize(flat, 0.0);
     }
 
-    /// The v2 forward: every conv stage lowers **all** windows' patches
-    /// into one stacked `[batch·spots, patch]` matrix and multiplies the
-    /// weights once; the bias/ReLU/pool epilogue and the head run
-    /// per-window-row, so each window's activations are bit-identical to
-    /// a `batch = 1` call.
+    /// The v2 forward. A dense-weight stage runs the implicit GEMM
+    /// ([`matmul_blocked_gather_kernel`]) window by window, reading the
+    /// patches straight from the activations through the stage's offset
+    /// tables, with the bias/ReLU/pool epilogue right behind it. A CSR or
+    /// int8 stage lowers **all** windows' patches into one stacked
+    /// `[batch·spots, patch]` matrix and multiplies the weights once. The
+    /// blocked GEMM is row-count invariant and the gather reads exactly
+    /// the `im2col` values, so each window's activations are
+    /// bit-identical to a `batch = 1` call either way.
     fn run_batch(
         &mut self,
         m: &CnnInfer,
@@ -338,30 +383,46 @@ impl CnnPlan {
     ) {
         let mut len = m.channels * m.window;
         self.a[..batch * len].copy_from_slice(&windows[..batch * len]);
-        for conv in &m.convs {
-            let (ho, wo) = conv.conv_out();
-            let spots = ho * wo;
-            let patch = conv.cin * conv.k * conv.k;
+        for (conv, gather) in m.convs.iter().zip(&self.gathers) {
+            let spots = gather.spots();
             let cout = conv.bias.len();
             let out_len = conv.out_len();
-            for b in 0..batch {
-                conv.im2col_into(
-                    &self.a[b * len..(b + 1) * len],
-                    &mut self.cols[b * spots * patch..(b + 1) * spots * patch],
+            if let MatRep::Dense(w) = &conv.w {
+                for b in 0..batch {
+                    matmul_blocked_gather_kernel(
+                        &self.a[b * len..(b + 1) * len],
+                        gather,
+                        w.data(),
+                        cout,
+                        &mut self.flat,
+                    );
+                    conv.bias_pool_into(
+                        &self.flat[..spots * cout],
+                        &mut self.prepool,
+                        &mut self.b[b * out_len..(b + 1) * out_len],
+                    );
+                }
+            } else {
+                let patch = gather.patch();
+                for b in 0..batch {
+                    conv.im2col_into(
+                        &self.a[b * len..(b + 1) * len],
+                        &mut self.cols[b * spots * patch..(b + 1) * spots * patch],
+                    );
+                }
+                conv.w.left_matmul_into_v2(
+                    &self.cols[..batch * spots * patch],
+                    batch * spots,
+                    &mut self.flat,
+                    qs,
                 );
-            }
-            conv.w.left_matmul_into_v2(
-                &self.cols[..batch * spots * patch],
-                batch * spots,
-                &mut self.flat,
-                qs,
-            );
-            for b in 0..batch {
-                conv.bias_pool_into(
-                    &self.flat[b * spots * cout..(b + 1) * spots * cout],
-                    &mut self.prepool,
-                    &mut self.b[b * out_len..(b + 1) * out_len],
-                );
+                for b in 0..batch {
+                    conv.bias_pool_into(
+                        &self.flat[b * spots * cout..(b + 1) * spots * cout],
+                        &mut self.prepool,
+                        &mut self.b[b * out_len..(b + 1) * out_len],
+                    );
+                }
             }
             len = out_len;
             std::mem::swap(&mut self.a, &mut self.b);
@@ -513,9 +574,8 @@ impl TfPlan {
             q: vec![0.0; t * d],
             k: vec![0.0; t * d],
             v: vec![0.0; t * d],
-            head_q: vec![0.0; t * dh],
-            head_k: vec![0.0; t * dh],
             head_v: vec![0.0; t * dh],
+            kt: vec![0.0; dh * scores_key_stride(t)],
             scores: vec![0.0; t * t],
             ho: vec![0.0; t * dh],
             merged: vec![0.0; t * d],
@@ -546,10 +606,17 @@ impl TfPlan {
             block.wk.forward_into(&self.cur[..t * d], t, &mut self.k, qs);
             block.wv.forward_into(&self.cur[..t * d], t, &mut self.v, qs);
             for hidx in 0..m.heads {
-                infer::slice_cols_into(&self.q, t, d, hidx * dh, dh, &mut self.head_q);
-                infer::slice_cols_into(&self.k, t, d, hidx * dh, dh, &mut self.head_k);
-                infer::slice_cols_into(&self.v, t, d, hidx * dh, dh, &mut self.head_v);
-                matmul_t_kernel(&self.head_q, &self.head_k, t, dh, t, &mut self.scores);
+                let col = hidx * dh;
+                attention_scores_kernel(
+                    &self.q[col..],
+                    &self.k[col..],
+                    d,
+                    t,
+                    dh,
+                    &mut self.kt,
+                    &mut self.scores,
+                );
+                infer::slice_cols_into(&self.v, t, d, col, dh, &mut self.head_v);
                 for s in &mut self.scores[..t * t] {
                     *s *= scale;
                 }
@@ -588,7 +655,7 @@ impl TfPlan {
     }
 
     /// Scales the sequence-shaped buffers to hold `batch` windows'
-    /// stacked rows (the per-window attention scratch — `head_q/k/v`,
+    /// stacked rows (the per-window attention scratch — `head_v`, `kt`,
     /// `scores`, `ho` — is reused across windows and stays single-sized).
     fn grow(&mut self, m: &TfInfer, batch: usize) {
         let t = m.window.div_ceil(m.time_stride);
@@ -661,33 +728,26 @@ impl TfPlan {
                 .wv
                 .forward_into_v2(&self.cur[..rows * d], rows, &mut self.v, qs);
             for b in 0..batch {
-                let span = b * t * d..(b + 1) * t * d;
+                let row0 = b * t * d;
                 for hidx in 0..m.heads {
-                    infer::slice_cols_into(
-                        &self.q[span.clone()],
-                        t,
+                    let col = row0 + hidx * dh;
+                    attention_scores_kernel(
+                        &self.q[col..],
+                        &self.k[col..],
                         d,
-                        hidx * dh,
+                        t,
                         dh,
-                        &mut self.head_q,
+                        &mut self.kt,
+                        &mut self.scores,
                     );
                     infer::slice_cols_into(
-                        &self.k[span.clone()],
-                        t,
-                        d,
-                        hidx * dh,
-                        dh,
-                        &mut self.head_k,
-                    );
-                    infer::slice_cols_into(
-                        &self.v[span.clone()],
+                        &self.v[row0..row0 + t * d],
                         t,
                         d,
                         hidx * dh,
                         dh,
                         &mut self.head_v,
                     );
-                    matmul_t_kernel(&self.head_q, &self.head_k, t, dh, t, &mut self.scores);
                     for s in &mut self.scores[..t * t] {
                         *s *= scale;
                     }

@@ -389,26 +389,223 @@ unsafe fn matmul_v1_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
 /// Panics if any slice is shorter than its `m`/`k`/`n` dimensions imply.
 pub fn matmul_blocked_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     assert!(a.len() >= m * k, "lhs shorter than m*k");
+    matmul_blocked_dispatch(DenseRows { a, k }, b, m, k, n, out);
+}
+
+/// [`matmul_blocked_kernel`] over the patches of one convolution input,
+/// without materializing them: `out [spots, n] = patches(img) × b
+/// [patch, n]`, where row `s` of the implicit left operand is
+/// `img[base[s] + off[p]]` for `p` in `0..patch` (the tables of `gather`).
+///
+/// This is the same monomorphized kernel body as the dense GEMM, reading
+/// its left operand through the gather instead of a row slice, so every
+/// output element sees exactly the operation sequence
+/// [`matmul_blocked_kernel`] applies to the `im2col` matrix of `img` —
+/// the two are **bit-identical** on every input (non-finite values
+/// included; only the sign and payload of a NaN result, which IEEE 754
+/// leaves open, may differ), while this one skips the `[spots, patch]`
+/// staging copy.
+///
+/// # Panics
+///
+/// Panics if `img` is shorter than the image `gather` was built for, or
+/// `b`/`out` are shorter than `patch × n` / `spots × n`.
+pub fn matmul_blocked_gather_kernel(
+    img: &[f32],
+    gather: &ConvGather,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    assert!(
+        img.len() >= gather.img_len,
+        "image shorter than the gather expects"
+    );
+    let rows = GatherRows {
+        img: &img[..gather.img_len],
+        base: &gather.base,
+        off: &gather.off,
+    };
+    matmul_blocked_dispatch(rows, b, gather.spots(), gather.patch(), n, out);
+}
+
+/// Zeroes `out` and runs the blocked GEMM body for left-operand reader
+/// `a`, dispatching to the AVX2 variant when it is enabled.
+fn matmul_blocked_dispatch<L: BlockedLhs>(
+    a: L,
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
     assert!(b.len() >= k * n, "rhs shorter than k*n");
     let out = &mut out[..m * n];
     out.fill(0.0);
     #[cfg(target_arch = "x86_64")]
     if crate::simd::enabled() && n >= 8 {
-        // SAFETY: AVX2 support was just detected, and the slice lengths
-        // were asserted above; the kernel reads `a[..m*k]`, `b[..k*n]` and
-        // writes `out[..m*n]` only.
+        // SAFETY: AVX2 support was just detected, and `b`/`out` lengths
+        // were asserted above; the kernel's raw-pointer accesses touch
+        // only `b[..k*n]` and `out[..m*n]`, and every `a` read goes
+        // through the reader's own accessors.
         unsafe { matmul_blocked_avx2(a, b, m, k, n, out) };
         return;
     }
     matmul_blocked_scalar(a, b, m, k, n, 0, out);
 }
 
-/// The scalar reference body of [`matmul_blocked_kernel`], restricted to
-/// the column range `[j0, n)` so it also serves as the SIMD variant's
-/// column tail. `out` rows outside the range are left untouched;
-/// accumulation starts from the (pre-zeroed) buffer contents.
-fn matmul_blocked_scalar(
-    a: &[f32],
+/// How the blocked GEMM reads its left operand: row `i` as a
+/// [`LhsRow`]. The kernel body is generic over this and monomorphized per
+/// reader, so dense rows and the convolution gather run one instruction
+/// sequence.
+trait BlockedLhs: Copy {
+    type Row: LhsRow;
+    fn row(self, i: usize) -> Self::Row;
+}
+
+/// One left-operand row: element `p` of `0..k`.
+trait LhsRow: Copy {
+    fn at(self, p: usize) -> f32;
+}
+
+/// A row-major `[m, k]` slice.
+#[derive(Clone, Copy)]
+struct DenseRows<'a> {
+    a: &'a [f32],
+    k: usize,
+}
+
+impl<'a> BlockedLhs for DenseRows<'a> {
+    type Row = &'a [f32];
+
+    #[inline(always)]
+    fn row(self, i: usize) -> &'a [f32] {
+        &self.a[i * self.k..(i + 1) * self.k]
+    }
+}
+
+impl LhsRow for &[f32] {
+    #[inline(always)]
+    fn at(self, p: usize) -> f32 {
+        self[p]
+    }
+}
+
+/// The implicit `im2col` matrix of one image (see [`ConvGather`]).
+#[derive(Clone, Copy)]
+struct GatherRows<'a> {
+    img: &'a [f32],
+    base: &'a [u32],
+    off: &'a [u32],
+}
+
+/// One spot's patch: the image from the spot's base on, read at `off`.
+#[derive(Clone, Copy)]
+struct GatherRow<'a> {
+    img: &'a [f32],
+    off: &'a [u32],
+}
+
+impl<'a> BlockedLhs for GatherRows<'a> {
+    type Row = GatherRow<'a>;
+
+    #[inline(always)]
+    fn row(self, i: usize) -> GatherRow<'a> {
+        GatherRow {
+            img: &self.img[self.base[i] as usize..],
+            off: self.off,
+        }
+    }
+}
+
+impl LhsRow for GatherRow<'_> {
+    #[inline(always)]
+    fn at(self, p: usize) -> f32 {
+        let i = self.off[p] as usize;
+        debug_assert!(i < self.img.len(), "gather offset past the image");
+        // SAFETY: a `GatherRow` is only built by `GatherRows::row`, from a
+        // `ConvGather` (whose constructor proves `base[s] + off[p] <
+        // img_len` for every spot and patch element) over the image cut
+        // to `img_len`, starting at `base[s]` — so `off[p]` is in bounds.
+        unsafe { *self.img.get_unchecked(i) }
+    }
+}
+
+/// Offset tables that let [`matmul_blocked_gather_kernel`] read a
+/// convolution's patches straight from its `cin × h × w` input image
+/// (square `k × k` kernel, `stride`, no padding): output spot `s` reads
+/// patch element `p` at `img[base[s] + off[p]]`. The patch order is
+/// `im2col`'s — channel, then kernel row, then kernel column — and spots
+/// run row-major over the `ho × wo` output grid. Built once per conv at
+/// plan compile; a gather never allocates afterwards.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConvGather {
+    /// Per output spot: flat index of its patch's top-left input element.
+    base: Vec<u32>,
+    /// Per patch element: offset from the spot's base.
+    off: Vec<u32>,
+    /// Length of the input image the tables index into.
+    img_len: usize,
+}
+
+impl ConvGather {
+    /// Tables for a `cin × h × w` image under a `k × k` kernel at
+    /// `stride`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image has no channel, the kernel does not fit it,
+    /// `stride` is zero, or the image has more elements than a `u32` can
+    /// index.
+    #[must_use]
+    pub fn new(cin: usize, h: usize, w: usize, k: usize, stride: usize) -> Self {
+        assert!(
+            cin >= 1 && k >= 1 && k <= h && k <= w && stride >= 1,
+            "conv geometry"
+        );
+        let img_len = cin * h * w;
+        let idx = |v: usize| u32::try_from(v).expect("conv image fits u32 indexing");
+        let (ho, wo) = ((h - k) / stride + 1, (w - k) / stride + 1);
+        let mut base = Vec::with_capacity(ho * wo);
+        for oy in 0..ho {
+            for ox in 0..wo {
+                base.push(idx(oy * stride * w + ox * stride));
+            }
+        }
+        let mut off = Vec::with_capacity(cin * k * k);
+        for c in 0..cin {
+            for dy in 0..k {
+                for dx in 0..k {
+                    off.push(idx(c * h * w + dy * w + dx));
+                }
+            }
+        }
+        // Both tables ascend, so the last pair is the largest index the
+        // gather kernel reads; it relies on this bound to skip checks.
+        let last = base[base.len() - 1] as usize + off[off.len() - 1] as usize;
+        assert!(last < img_len, "conv gather reads past the image");
+        Self { base, off, img_len }
+    }
+
+    /// Output spots (`ho · wo`): the implicit matrix's row count.
+    #[must_use]
+    pub fn spots(&self) -> usize {
+        self.base.len()
+    }
+
+    /// Patch length (`cin · k · k`): the implicit matrix's column count.
+    #[must_use]
+    pub fn patch(&self) -> usize {
+        self.off.len()
+    }
+}
+
+/// The scalar reference body of the blocked GEMM, restricted to the
+/// column range `[j0, n)` so it also serves as the SIMD variant's column
+/// tail. `out` rows outside the range are left untouched; accumulation
+/// starts from the (pre-zeroed) buffer contents.
+fn matmul_blocked_scalar<L: BlockedLhs>(
+    a: L,
     b: &[f32],
     m: usize,
     k: usize,
@@ -421,20 +618,15 @@ fn matmul_blocked_scalar(
         let (o0, rest) = out[i * n..(i + 4) * n].split_at_mut(n);
         let (o1, rest) = rest.split_at_mut(n);
         let (o2, o3) = rest.split_at_mut(n);
-        let (a0, a1, a2, a3) = (
-            &a[i * k..(i + 1) * k],
-            &a[(i + 1) * k..(i + 2) * k],
-            &a[(i + 2) * k..(i + 3) * k],
-            &a[(i + 3) * k..(i + 4) * k],
-        );
+        let (a0, a1, a2, a3) = (a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3));
         let mut p = 0;
         while p + 2 <= k {
             let b0 = &b[p * n..(p + 1) * n];
             let b1 = &b[(p + 1) * n..(p + 2) * n];
-            let (x00, x01) = (a0[p], a0[p + 1]);
-            let (x10, x11) = (a1[p], a1[p + 1]);
-            let (x20, x21) = (a2[p], a2[p + 1]);
-            let (x30, x31) = (a3[p], a3[p + 1]);
+            let (x00, x01) = (a0.at(p), a0.at(p + 1));
+            let (x10, x11) = (a1.at(p), a1.at(p + 1));
+            let (x20, x21) = (a2.at(p), a2.at(p + 1));
+            let (x30, x31) = (a3.at(p), a3.at(p + 1));
             for j in j0..n {
                 let (v0, v1) = (b0[j], b1[j]);
                 o0[j] += x00 * v0 + x01 * v1;
@@ -446,7 +638,7 @@ fn matmul_blocked_scalar(
         }
         if p < k {
             let b0 = &b[p * n..(p + 1) * n];
-            let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
+            let (x0, x1, x2, x3) = (a0.at(p), a1.at(p), a2.at(p), a3.at(p));
             for j in j0..n {
                 let v0 = b0[j];
                 o0[j] += x0 * v0;
@@ -458,13 +650,13 @@ fn matmul_blocked_scalar(
         i += 4;
     }
     while i < m {
-        let arow = &a[i * k..(i + 1) * k];
+        let arow = a.row(i);
         let orow = &mut out[i * n..(i + 1) * n];
         let mut p = 0;
         while p + 2 <= k {
             let b0 = &b[p * n..(p + 1) * n];
             let b1 = &b[(p + 1) * n..(p + 2) * n];
-            let (x0, x1) = (arow[p], arow[p + 1]);
+            let (x0, x1) = (arow.at(p), arow.at(p + 1));
             for j in j0..n {
                 orow[j] += x0 * b0[j] + x1 * b1[j];
             }
@@ -472,7 +664,7 @@ fn matmul_blocked_scalar(
         }
         if p < k {
             let b0 = &b[p * n..(p + 1) * n];
-            let x0 = arow[p];
+            let x0 = arow.at(p);
             for j in j0..n {
                 orow[j] += x0 * b0[j];
             }
@@ -493,11 +685,18 @@ fn matmul_blocked_scalar(
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2 is available and that `a.len() >= m*k`,
-/// `b.len() >= k*n`, `out.len() >= m*n`.
+/// Caller must ensure AVX2 is available and that `b.len() >= k*n`,
+/// `out.len() >= m*n`, and that `a` yields `m` rows of `k` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_blocked_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+unsafe fn matmul_blocked_avx2<L: BlockedLhs>(
+    a: L,
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
@@ -505,12 +704,7 @@ unsafe fn matmul_blocked_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize
     let panels = n - n % 8;
     let mut i = 0;
     while i + 4 <= m {
-        let (a0, a1, a2, a3) = (
-            &a[i * k..(i + 1) * k],
-            &a[(i + 1) * k..(i + 2) * k],
-            &a[(i + 2) * k..(i + 3) * k],
-            &a[(i + 3) * k..(i + 4) * k],
-        );
+        let (a0, a1, a2, a3) = (a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3));
         let mut j = 0;
         while j + 8 <= n {
             let mut c0 = _mm256_setzero_ps();
@@ -522,20 +716,20 @@ unsafe fn matmul_blocked_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize
                 let b0 = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
                 let b1 = _mm256_loadu_ps(b.as_ptr().add((p + 1) * n + j));
                 let t0 = _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_set1_ps(a0[p]), b0),
-                    _mm256_mul_ps(_mm256_set1_ps(a0[p + 1]), b1),
+                    _mm256_mul_ps(_mm256_set1_ps(a0.at(p)), b0),
+                    _mm256_mul_ps(_mm256_set1_ps(a0.at(p + 1)), b1),
                 );
                 let t1 = _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_set1_ps(a1[p]), b0),
-                    _mm256_mul_ps(_mm256_set1_ps(a1[p + 1]), b1),
+                    _mm256_mul_ps(_mm256_set1_ps(a1.at(p)), b0),
+                    _mm256_mul_ps(_mm256_set1_ps(a1.at(p + 1)), b1),
                 );
                 let t2 = _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_set1_ps(a2[p]), b0),
-                    _mm256_mul_ps(_mm256_set1_ps(a2[p + 1]), b1),
+                    _mm256_mul_ps(_mm256_set1_ps(a2.at(p)), b0),
+                    _mm256_mul_ps(_mm256_set1_ps(a2.at(p + 1)), b1),
                 );
                 let t3 = _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_set1_ps(a3[p]), b0),
-                    _mm256_mul_ps(_mm256_set1_ps(a3[p + 1]), b1),
+                    _mm256_mul_ps(_mm256_set1_ps(a3.at(p)), b0),
+                    _mm256_mul_ps(_mm256_set1_ps(a3.at(p + 1)), b1),
                 );
                 c0 = _mm256_add_ps(c0, t0);
                 c1 = _mm256_add_ps(c1, t1);
@@ -545,10 +739,10 @@ unsafe fn matmul_blocked_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize
             }
             if p < k {
                 let b0 = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(a0[p]), b0));
-                c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(a1[p]), b0));
-                c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(a2[p]), b0));
-                c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(a3[p]), b0));
+                c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(a0.at(p)), b0));
+                c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(a1.at(p)), b0));
+                c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(a2.at(p)), b0));
+                c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(a3.at(p)), b0));
             }
             _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j), c0);
             _mm256_storeu_ps(out.as_mut_ptr().add((i + 1) * n + j), c1);
@@ -559,7 +753,7 @@ unsafe fn matmul_blocked_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize
         i += 4;
     }
     while i < m {
-        let arow = &a[i * k..(i + 1) * k];
+        let arow = a.row(i);
         let mut j = 0;
         while j + 8 <= n {
             let mut c0 = _mm256_setzero_ps();
@@ -568,15 +762,15 @@ unsafe fn matmul_blocked_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize
                 let b0 = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
                 let b1 = _mm256_loadu_ps(b.as_ptr().add((p + 1) * n + j));
                 let t = _mm256_add_ps(
-                    _mm256_mul_ps(_mm256_set1_ps(arow[p]), b0),
-                    _mm256_mul_ps(_mm256_set1_ps(arow[p + 1]), b1),
+                    _mm256_mul_ps(_mm256_set1_ps(arow.at(p)), b0),
+                    _mm256_mul_ps(_mm256_set1_ps(arow.at(p + 1)), b1),
                 );
                 c0 = _mm256_add_ps(c0, t);
                 p += 2;
             }
             if p < k {
                 let b0 = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
-                c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(arow[p]), b0));
+                c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(arow.at(p)), b0));
             }
             _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j), c0);
             j += 8;
@@ -605,6 +799,152 @@ pub fn matmul_t_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: 
             }
             out[i * n + j] = acc;
         }
+    }
+}
+
+/// Key lanes per transposed-K row of [`attention_scores_kernel`]: the key
+/// count rounded up to the SIMD width, so every panel load is full.
+#[must_use]
+pub fn scores_key_stride(t: usize) -> usize {
+    t.next_multiple_of(8)
+}
+
+/// One attention head's scores `out [t, t] = q kᵀ`, read in place from
+/// the stacked projection rows: query `i` is `q[i·ld..i·ld + dh]` and key
+/// `j` is `k[j·ld..j·ld + dh]` (pass the slices starting at the head's
+/// first column and `ld = d_model`), so no per-head column copy is made.
+///
+/// The keys are first transposed into `kt` (`[dh, scores_key_stride(t)]`,
+/// lanes past `t` zeroed), then every query accumulates all of its keys at
+/// once, lanes over keys. Per score the arithmetic is exactly
+/// [`matmul_t_kernel`]'s on the column-sliced head — `acc = +0.0`, then
+/// `acc += q[d]·k[d]` for `d` ascending, one rounded multiply and one
+/// rounded add per term (`vmulps`/`vaddps`, never FMA) — and lanes never
+/// mix, so the result is **bit-identical** to it on every input (up to
+/// the unspecified sign and payload of a NaN result), and the AVX2
+/// variant is bit-identical to the scalar body. Padded lanes are computed
+/// and discarded.
+///
+/// # Panics
+///
+/// Panics if `q`/`k` are shorter than `(t - 1)·ld + dh`, `ld < dh`, `kt`
+/// is shorter than `dh · scores_key_stride(t)` or `out` than `t · t`.
+pub fn attention_scores_kernel(
+    q: &[f32],
+    k: &[f32],
+    ld: usize,
+    t: usize,
+    dh: usize,
+    kt: &mut [f32],
+    out: &mut [f32],
+) {
+    if t == 0 {
+        return;
+    }
+    assert!(dh <= ld, "head width exceeds the row stride");
+    let rows = (t - 1) * ld + dh;
+    assert!(
+        q.len() >= rows && k.len() >= rows,
+        "q/k shorter than t rows"
+    );
+    let tp = scores_key_stride(t);
+    let kt = &mut kt[..dh * tp];
+    let out = &mut out[..t * t];
+    for (d, lanes) in kt.chunks_exact_mut(tp).enumerate() {
+        for (j, lane) in lanes[..t].iter_mut().enumerate() {
+            *lane = k[j * ld + d];
+        }
+        lanes[t..].fill(0.0);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::enabled() {
+        // SAFETY: AVX2 support was just detected; `q` was asserted to hold
+        // `t` rows of stride `ld`, `kt` is exactly `dh × tp` with `tp` a
+        // multiple of 8, and `out` is exactly `t × t`.
+        unsafe { scores_avx2(q, ld, t, dh, kt, out) };
+        return;
+    }
+    scores_scalar(q, ld, t, dh, kt, out);
+}
+
+/// The scalar reference body of [`attention_scores_kernel`].
+fn scores_scalar(q: &[f32], ld: usize, t: usize, dh: usize, kt: &[f32], out: &mut [f32]) {
+    let tp = scores_key_stride(t);
+    for (i, orow) in out.chunks_exact_mut(t).enumerate() {
+        orow.fill(0.0);
+        for (d, &qv) in q[i * ld..i * ld + dh].iter().enumerate() {
+            for (o, &kv) in orow.iter_mut().zip(&kt[d * tp..d * tp + t]) {
+                *o += qv * kv;
+            }
+        }
+    }
+}
+
+/// AVX2 variant of [`attention_scores_kernel`]: four queries advance
+/// together over one eight-key panel, their accumulators in registers
+/// across the whole `d` loop. Per score the sequence is the scalar body's.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available, `q.len() >= (t-1)·ld + dh`,
+/// `kt.len() == dh · scores_key_stride(t)` and `out.len() == t · t`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn scores_avx2(q: &[f32], ld: usize, t: usize, dh: usize, kt: &[f32], out: &mut [f32]) {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    let tp = scores_key_stride(t);
+    // Stores the first `t - j` lanes of `acc` into score row `i`.
+    let store = |out: &mut [f32], i: usize, j: usize, acc: __m256| {
+        let row = &mut out[i * t + j..(i + 1) * t];
+        if row.len() >= 8 {
+            _mm256_storeu_ps(row.as_mut_ptr(), acc);
+        } else {
+            let mut lanes = [0.0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+            row.copy_from_slice(&lanes[..row.len()]);
+        }
+    };
+    let mut i = 0;
+    while i + 4 <= t {
+        let (q0, q1, q2, q3) = (
+            &q[i * ld..i * ld + dh],
+            &q[(i + 1) * ld..(i + 1) * ld + dh],
+            &q[(i + 2) * ld..(i + 2) * ld + dh],
+            &q[(i + 3) * ld..(i + 3) * ld + dh],
+        );
+        for j in (0..tp).step_by(8) {
+            let mut c0 = _mm256_setzero_ps();
+            let mut c1 = _mm256_setzero_ps();
+            let mut c2 = _mm256_setzero_ps();
+            let mut c3 = _mm256_setzero_ps();
+            for d in 0..dh {
+                let kv = _mm256_loadu_ps(kt.as_ptr().add(d * tp + j));
+                c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(q0[d]), kv));
+                c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(q1[d]), kv));
+                c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(q2[d]), kv));
+                c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(q3[d]), kv));
+            }
+            store(out, i, j, c0);
+            store(out, i + 1, j, c1);
+            store(out, i + 2, j, c2);
+            store(out, i + 3, j, c3);
+        }
+        i += 4;
+    }
+    while i < t {
+        let q0 = &q[i * ld..i * ld + dh];
+        for j in (0..tp).step_by(8) {
+            let mut c0 = _mm256_setzero_ps();
+            for (d, &qv) in q0.iter().enumerate() {
+                let kv = _mm256_loadu_ps(kt.as_ptr().add(d * tp + j));
+                c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(qv), kv));
+            }
+            store(out, i, j, c0);
+        }
+        i += 1;
     }
 }
 
@@ -678,7 +1018,15 @@ mod tests {
             let mut dispatched = vec![0.0f32; m * n];
             matmul_blocked_kernel(a.data(), b.data(), m, k, n, &mut dispatched);
             let mut scalar = vec![0.0f32; m * n];
-            matmul_blocked_scalar(a.data(), b.data(), m, k, n, 0, &mut scalar);
+            matmul_blocked_scalar(
+                DenseRows { a: a.data(), k },
+                b.data(),
+                m,
+                k,
+                n,
+                0,
+                &mut scalar,
+            );
             for (i, (x, y)) in scalar.iter().zip(&dispatched).enumerate() {
                 assert_eq!(
                     x.to_bits(),

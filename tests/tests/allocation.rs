@@ -319,29 +319,56 @@ fn wire_drain_is_allocation_free_once_warm() {
 
 #[test]
 fn batched_ensemble_call_is_allocation_free_once_warm() {
-    // The serving micro-batcher's per-tick call: 16 windows, one batched
-    // ensemble classification into a warm scratch arena.
+    // The serving micro-batcher's per-tick call: one batched ensemble
+    // classification into a warm scratch arena, at 16 windows
+    // and at the `fleet-64` shape. The dense ensemble runs the
+    // implicit-GEMM conv and the key-parallel attention scores, whose
+    // offset tables and transposed-K scratch live in the compiled plans;
+    // the mixed compressed ensemble (CNN pruned, transformer int8 — the
+    // `churn-72c` artifact's shape) also covers the CSR and int8 paths.
     let artifacts = quick_trained(21, 21);
-    let ensemble = &artifacts.ensemble;
-    let pool = ExecPool::new(1);
-    let mut scratch = EnsembleScratch::new(ensemble);
-    let batch = 16;
-    let per_window = CHANNELS * ensemble.window();
-    let windows: Vec<f32> = (0..batch * per_window)
-        .map(|i| (i as f32 * 0.11).cos())
-        .collect();
-    let mut out = vec![0.0f32; batch * CLASSES];
-
-    // Warm-up grows the scratch to batch capacity and the lane buffers to
-    // their steady sizes.
-    ensemble.predict_batch_into(&windows, batch, CHANNELS, &pool, &mut scratch, &mut out);
-    let allocs = count_allocs(|| {
-        ensemble.predict_batch_into(&windows, batch, CHANNELS, &pool, &mut scratch, &mut out);
+    let mut mixed = artifacts.ensemble.clone();
+    let mut member = 0usize;
+    mixed.visit_net_models_mut(|m| {
+        if member == 0 {
+            ml::compress::prune_global(m, 0.7);
+        } else {
+            ml::compress::quantize(m, ml::compress::QuantMode::Calibrated)
+                .expect("dense model quantizes");
+        }
+        member += 1;
     });
-    assert_eq!(
-        allocs, 0,
-        "warm batched inference allocated {allocs} times"
-    );
+    mixed.precompile_exec();
+
+    for (name, ensemble) in [("dense", &artifacts.ensemble), ("pruned+int8", &mixed)] {
+        for batch in [16, 64] {
+            let pool = ExecPool::new(1);
+            let mut scratch = EnsembleScratch::new(ensemble);
+            let per_window = CHANNELS * ensemble.window();
+            let windows: Vec<f32> = (0..batch * per_window)
+                .map(|i| (i as f32 * 0.11).cos())
+                .collect();
+            let mut out = vec![0.0f32; batch * CLASSES];
+
+            // Warm-up grows the scratch to batch capacity and the lane
+            // buffers to their steady sizes.
+            ensemble.predict_batch_into(&windows, batch, CHANNELS, &pool, &mut scratch, &mut out);
+            let allocs = count_allocs(|| {
+                ensemble.predict_batch_into(
+                    &windows,
+                    batch,
+                    CHANNELS,
+                    &pool,
+                    &mut scratch,
+                    &mut out,
+                );
+            });
+            assert_eq!(
+                allocs, 0,
+                "warm {name} batch-{batch} inference allocated {allocs} times"
+            );
+        }
+    }
 }
 
 #[test]
