@@ -353,16 +353,12 @@ impl RandomForest {
         }
     }
 
-    /// Predicted class for one feature vector.
+    /// Predicted class for one feature vector, by
+    /// [`crate::ensemble::argmax`]'s rule (a NaN never wins; all-NaN gives
+    /// class 0).
     #[must_use]
     pub fn predict(&self, features: &[f32]) -> usize {
-        let probs = self.predict_proba(features);
-        probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        crate::ensemble::argmax(&self.predict_proba(features))
     }
 
     /// Predicted classes for a batch of feature vectors, evaluated in
@@ -542,6 +538,24 @@ mod tests {
             ys.push(label);
         }
         (xs, ys)
+    }
+
+    #[test]
+    fn predict_is_total_over_nan_probabilities() {
+        let config = ForestConfig {
+            n_estimators: 1,
+            max_depth: None,
+            min_samples_split: 2,
+            classes: 3,
+            seed: 0,
+        };
+        let leaf = |probs: Vec<f32>| {
+            let tree = Tree::from_nodes(vec![TreeNode::Leaf { probs }]).unwrap();
+            RandomForest::from_parts(config, vec![tree]).unwrap()
+        };
+        assert_eq!(leaf(vec![f32::NAN, 0.2, 0.1]).predict(&[0.0]), 1);
+        assert_eq!(leaf(vec![0.3, f32::NAN, 0.7]).predict(&[0.0]), 2);
+        assert_eq!(leaf(vec![f32::NAN; 3]).predict(&[0.0]), 0);
     }
 
     #[test]

@@ -20,7 +20,9 @@ use crate::models::{
     CnnModel, LstmModel, Model, PoolKind, TransformerModel,
 };
 use crate::sparse::CsrMatrix;
-use crate::tensor::{ConvGather, Tensor};
+use crate::tensor::{
+    matmul_blocked_bias_act_kernel, matmul_blocked_conv_kernel, ConvGather, Tensor,
+};
 
 /// How a weight matrix is stored and multiplied.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -77,29 +79,6 @@ impl MatRep {
         match self {
             MatRep::Dense(w) => {
                 crate::tensor::matmul_kernel(x, w.data(), m, w.rows(), w.cols(), out);
-            }
-            MatRep::Sparse(w) => {
-                w.exec()
-                    .left_matmul_into(x, m, out, &mut qs.xt, &mut qs.yt);
-            }
-            MatRep::Int8(w) => w.left_matmul_into(x, m, out, qs),
-        }
-    }
-
-    /// The plan-v2 counterpart of [`MatRep::left_matmul_into`]: dense
-    /// matrices route to [`crate::tensor::matmul_blocked_kernel`] (the
-    /// reassociated multi-row GEMM — different bits, versioned
-    /// deliberately); CSR and int8 share v1's kernels, whose batched forms
-    /// are bit-exact reorderings (zero-skip and i32 associativity), so
-    /// only the dense path actually carries the numerics version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `out` is shorter than the dimensions imply.
-    pub fn left_matmul_into_v2(&self, x: &[f32], m: usize, out: &mut [f32], qs: &mut ExecScratch) {
-        match self {
-            MatRep::Dense(w) => {
-                crate::tensor::matmul_blocked_kernel(x, w.data(), m, w.rows(), w.cols(), out);
             }
             MatRep::Sparse(w) => {
                 w.exec()
@@ -281,20 +260,46 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation elementwise in place.
-    pub fn apply_slice(self, s: &mut [f32]) {
+    /// The activation of one value: identity, [`relu`], or `tanh`. The
+    /// fused GEMM epilogues and the post-pass of the compressed kernels
+    /// both apply exactly this.
+    #[inline(always)]
+    #[must_use]
+    pub fn apply(self, v: f32) -> f32 {
         match self {
-            Activation::None => {}
-            Activation::Relu => {
-                for v in s {
-                    *v = v.max(0.0);
-                }
-            }
-            Activation::Tanh => {
-                for v in s {
-                    *v = v.tanh();
-                }
-            }
+            Activation::None => v,
+            Activation::Relu => relu(v),
+            Activation::Tanh => v.tanh(),
+        }
+    }
+}
+
+/// The rectifier every inference path applies: `v` if `v > 0`, else
+/// `+0.0` — so NaN and `-0.0` both give `+0.0`. This is `vmaxps(v, 0)`,
+/// which the AVX2 epilogues use. (`f32::max` does not order signed
+/// zeros, so `(-0.0).max(0.0)` may return either zero, depending on code
+/// generation.)
+#[inline(always)]
+#[must_use]
+pub fn relu(v: f32) -> f32 {
+    if v > 0.0 {
+        v
+    } else {
+        0.0
+    }
+}
+
+/// The linear stage's post-pass over `[m, n]` rows (`n = bias.len()`):
+/// `v = act(v + bias[j])`, the rule of the fused dense epilogue
+/// ([`matmul_blocked_bias_act_kernel`]), for kernels that store plain
+/// accumulators (v1, CSR and int8).
+fn bias_act_rows(out: &mut [f32], bias: &[f32], act: Activation) {
+    if bias.is_empty() {
+        return;
+    }
+    for row in out.chunks_exact_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v = act.apply(*v + b);
         }
     }
 }
@@ -321,8 +326,8 @@ impl LinearInfer {
     }
 
     /// [`LinearInfer::forward`] over raw slices into a preallocated output
-    /// (fully overwritten): matmul, bias rows, activation — the same three
-    /// steps in the same order as the allocating path.
+    /// (fully overwritten): matmul, then `act(v + bias[j])` per element —
+    /// the same steps in the same order as the allocating path.
     ///
     /// # Panics
     ///
@@ -331,19 +336,17 @@ impl LinearInfer {
         let (k, n) = self.w.dims();
         assert_eq!(x.len(), m * k, "linear stage input size");
         self.w.left_matmul_into(x, m, out, qs);
-        let out = &mut out[..m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[i * n + j] += self.bias[j];
-            }
-        }
-        self.act.apply_slice(out);
+        bias_act_rows(&mut out[..m * n], &self.bias, self.act);
     }
 
-    /// The plan-v2 counterpart of [`LinearInfer::forward_into`]: same
-    /// bias-then-activation epilogue, but the matmul dispatches through
-    /// [`MatRep::left_matmul_into_v2`] (the blocked multi-row GEMM for
-    /// dense weights).
+    /// The plan-v2 counterpart of [`LinearInfer::forward_into`]. Dense
+    /// weights run the blocked multi-row GEMM (the reassociated kernel —
+    /// different bits, versioned deliberately) with the bias and
+    /// activation fused into its store
+    /// ([`matmul_blocked_bias_act_kernel`]). CSR and int8 weights share
+    /// v1's kernels, whose batched forms are bit-exact reorderings
+    /// (zero-skip and i32 associativity), and the same post-pass, so only
+    /// the dense path carries the numerics version.
     ///
     /// # Panics
     ///
@@ -351,14 +354,12 @@ impl LinearInfer {
     pub fn forward_into_v2(&self, x: &[f32], m: usize, out: &mut [f32], qs: &mut ExecScratch) {
         let (k, n) = self.w.dims();
         assert_eq!(x.len(), m * k, "linear stage input size");
-        self.w.left_matmul_into_v2(x, m, out, qs);
-        let out = &mut out[..m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[i * n + j] += self.bias[j];
-            }
+        if let MatRep::Dense(w) = &self.w {
+            matmul_blocked_bias_act_kernel(x, w.data(), m, k, n, &self.bias, self.act, out);
+            return;
         }
-        self.act.apply_slice(out);
+        self.w.left_matmul_into(x, m, out, qs);
+        bias_act_rows(&mut out[..m * n], &self.bias, self.act);
     }
 
     /// Output width (bias length).
@@ -488,37 +489,92 @@ impl ConvInfer {
         ConvGather::new(self.cin, self.h, self.wdim, self.k, self.stride)
     }
 
-    /// The conv epilogue: bias + fused ReLU (transposing `[spots, cout]`
-    /// to channel-major), then the optional 2×2 pool into `out`. Shared by
-    /// the per-window and batched paths — one window's worth of `flat`.
-    pub(crate) fn bias_pool_into(&self, flat: &[f32], prepool: &mut [f32], out: &mut [f32]) {
+    /// The plan-v2 stage for dense weights, one window: the implicit GEMM
+    /// with the bias/ReLU epilogue fused into its store
+    /// ([`matmul_blocked_conv_kernel`]), written channel-major straight
+    /// into `prepool` (pooled stages, which then pool into `out`) or into
+    /// `out`. `gather` must be this stage's [`ConvInfer::gather`]. Returns
+    /// the number of values written to `out` (= [`ConvInfer::out_len`]).
+    /// Bit-identical to [`crate::tensor::matmul_blocked_gather_kernel`]
+    /// followed by [`ConvInfer::bias_pool_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weights are not dense, or a buffer is shorter than
+    /// the stage implies.
+    pub fn forward_implicit_into(
+        &self,
+        img: &[f32],
+        gather: &ConvGather,
+        prepool: &mut [f32],
+        out: &mut [f32],
+    ) -> usize {
+        let MatRep::Dense(w) = &self.w else {
+            panic!("the implicit conv needs dense weights");
+        };
+        let cout = self.bias.len();
+        if self.pooled() {
+            matmul_blocked_conv_kernel(img, gather, w.data(), &self.bias, cout, prepool);
+            self.pool_into(prepool, out);
+        } else {
+            matmul_blocked_conv_kernel(img, gather, w.data(), &self.bias, cout, out);
+        }
+        self.out_len()
+    }
+
+    /// The conv epilogue over a plain `[spots, cout]` GEMM result `flat`:
+    /// [`relu`]`(v + bias[c])` transposed to channel-major, then the
+    /// optional 2×2 pool into `out` (via `prepool`). Shared by the
+    /// per-window and batched `im2col` paths — one window's worth of
+    /// `flat`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer is shorter than the stage implies.
+    pub fn bias_pool_into(&self, flat: &[f32], prepool: &mut [f32], out: &mut [f32]) {
         let (ho, wo) = self.conv_out();
         let spots = ho * wo;
         let cout = self.bias.len();
-        /// Bias + fused ReLU, transposing [spots, cout] -> channel-major.
+        /// Bias + ReLU, transposing [spots, cout] -> channel-major.
         fn bias_relu(flat: &[f32], bias: &[f32], spots: usize, dst: &mut [f32]) {
             let cout = bias.len();
             for s in 0..spots {
                 for c in 0..cout {
-                    let v = flat[s * cout + c] + bias[c];
-                    dst[c * spots + s] = v.max(0.0);
+                    dst[c * spots + s] = relu(flat[s * cout + c] + bias[c]);
                 }
             }
         }
-        let pooled = !matches!(self.pool, PoolKind::None) && ho >= 2 && wo >= 2;
-        if pooled {
-            let conv_dst = &mut prepool[..cout * spots];
-            bias_relu(flat, &self.bias, spots, conv_dst);
-            pool2_into(
-                conv_dst,
-                cout,
-                ho,
-                wo,
-                matches!(self.pool, PoolKind::Max),
-                out,
-            );
+        if self.pooled() {
+            bias_relu(flat, &self.bias, spots, &mut prepool[..cout * spots]);
+            self.pool_into(prepool, out);
         } else {
             bias_relu(flat, &self.bias, spots, &mut out[..cout * spots]);
+        }
+    }
+
+    /// Whether a 2×2 pool follows the conv (a pool kind is set and the
+    /// conv output is at least 2×2).
+    fn pooled(&self) -> bool {
+        let (ho, wo) = self.conv_out();
+        !matches!(self.pool, PoolKind::None) && ho >= 2 && wo >= 2
+    }
+
+    /// Pools the channel-major conv output `prepool` into `out`.
+    fn pool_into(&self, prepool: &[f32], out: &mut [f32]) {
+        let (ho, wo) = self.conv_out();
+        let cout = self.bias.len();
+        let max = matches!(self.pool, PoolKind::Max);
+        pool2_into(&prepool[..cout * ho * wo], cout, ho, wo, max, out);
+    }
+
+    /// The `prepool` length a pooled stage needs (`0` when unpooled).
+    #[must_use]
+    pub fn prepool_len(&self) -> usize {
+        if self.pooled() {
+            let (ho, wo) = self.conv_out();
+            self.bias.len() * ho * wo
+        } else {
+            0
         }
     }
 
@@ -743,16 +799,12 @@ impl InferModel {
         out
     }
 
-    /// Predicted class index for one window.
+    /// Predicted class index for one window, by
+    /// [`crate::ensemble::argmax`]'s rule (a NaN logit never wins; all-NaN
+    /// gives class 0).
     #[must_use]
     pub fn predict(&self, window: &[f32]) -> usize {
-        let logits = self.predict_logits(window);
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        crate::ensemble::argmax(&self.predict_logits(window))
     }
 
     /// Effective parameter count (non-zeros for pruned weights).
@@ -1213,6 +1265,53 @@ mod tests {
             }
         });
         assert!(compiled.param_count() < dense_count);
+    }
+
+    #[test]
+    fn relu_pins_negative_zero_and_nan_to_positive_zero() {
+        let cases = [
+            (-0.0f32, 0.0f32),
+            (0.0, 0.0),
+            (f32::NAN, 0.0),
+            (-f32::NAN, 0.0),
+            (-1.5, 0.0),
+            (f32::NEG_INFINITY, 0.0),
+            (f32::from_bits(1), f32::from_bits(1)),
+            (-f32::from_bits(1), 0.0),
+            (2.5, 2.5),
+            (f32::INFINITY, f32::INFINITY),
+        ];
+        for (v, want) in cases {
+            assert_eq!(relu(v).to_bits(), want.to_bits(), "relu({v:?})");
+            assert_eq!(
+                Activation::Relu.apply(v).to_bits(),
+                want.to_bits(),
+                "Activation::Relu({v:?})"
+            );
+        }
+        // The post-pass over a slice (vectorizable) keeps the same rule.
+        let mut row = [-0.0f32, f32::NAN, -0.0, 1.0, -2.0, -0.0];
+        bias_act_rows(&mut row, &[0.0; 6], Activation::Relu);
+        assert!(row.iter().all(|v| v.to_bits() == 0 || *v == 1.0), "{row:?}");
+    }
+
+    #[test]
+    fn predict_is_total_over_nan_logits() {
+        let model = CnnConfig::paper_best().build(2).unwrap();
+        let window = random_window(16, 190, 7);
+        let mut compiled = compile_cnn(&model);
+        let InferModel::Cnn(cnn) = &mut compiled else {
+            unreachable!()
+        };
+        // One NaN logit: never the answer; the rest still decide.
+        cnn.head.bias = vec![f32::NAN, 1.0e6, 0.0];
+        assert_eq!(compiled.predict(&window), 1);
+        // Every logit NaN: class 0, no panic.
+        let InferModel::Cnn(cnn) = &mut compiled else {
+            unreachable!()
+        };
+        cnn.head.bias = vec![f32::NAN; 3];
+        assert_eq!(compiled.predict(&window), 0);
     }
 
     #[test]

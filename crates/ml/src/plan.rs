@@ -42,11 +42,11 @@
 //!
 //! # Same-bits kernels
 //!
-//! Two stages run kernels that replay the exact arithmetic of the path
-//! they replaced with less work, so neither is a numerics version:
+//! Several stages run kernels that replay the exact arithmetic of the
+//! path they replaced with less work, so none is a numerics version:
 //!
 //! * **Conv lowering (v2, dense weights).** A conv stage does not stage
-//!   an `im2col` matrix. [`crate::tensor::matmul_blocked_gather_kernel`]
+//!   an `im2col` matrix. [`crate::tensor::matmul_blocked_conv_kernel`]
 //!   reads patch element `p` of output spot `s` straight from the
 //!   activations at `img[base[s] + off[p]]`, through a [`ConvGather`]
 //!   table compiled with the plan. It is the blocked GEMM's own body,
@@ -54,23 +54,50 @@
 //!   gets the same multiply/pair-add/accumulate sequence on the same
 //!   values the `im2col` matrix would have held. CSR and int8 conv
 //!   weights, and v1, still lower through `im2col`.
+//! * **Fused GEMM epilogues (v2, dense weights).** The blocked GEMM body
+//!   is also monomorphized over how it stores a finished accumulator:
+//!   plainly, as `act(acc + bias[j])` for a linear stage
+//!   ([`crate::tensor::matmul_blocked_bias_act_kernel`]), or, for a conv,
+//!   as `relu(acc + bias[c])` written channel-major straight into the
+//!   next activations (or the pre-pool buffer), so dense v2 convs stage
+//!   no `[spots, cout]` GEMM result. The accumulator is the value the
+//!   plain GEMM would have stored, and the epilogue applies the same
+//!   rounded add and the same activation rule the separate passes
+//!   applied afterwards, so every bit is the same. CSR and int8 keep
+//!   their post-pass, which applies the same rule.
+//! * **Narrow outputs (v2).** When a dense GEMM has fewer than 8 output
+//!   columns (the 3-class heads) and at least 8 rows, the AVX2 body puts
+//!   its lanes over groups of 8 rows instead of columns, transposing
+//!   8×8 tiles of the left operand in registers. Each output still gets
+//!   `+0.0`, then `acc + (a0·b0 + a1·b1)` per `k` pair, then the odd-`k`
+//!   tail, with no FMA; rows left over after the groups of 8 run the
+//!   scalar body, so results do not depend on the row count.
 //! * **Attention scores (v1 and v2).**
 //!   [`crate::tensor::attention_scores_kernel`] reads a head's queries and
 //!   keys in place from the stacked projection rows, transposes the keys
 //!   into plan-owned scratch and accumulates with lanes over keys. Each
 //!   score keeps [`crate::tensor::matmul_t_kernel`]'s order (`+0.0`, then
-//!   `q[d]·k[d]` for `d` ascending, no FMA), so v1 bits are untouched too.
+//!   `q[d]·k[d]` for `d` ascending, no FMA) and is stored as
+//!   `acc · scale`, the multiply the separate scaling pass did, so v1
+//!   bits are untouched too.
 //!
-//! The golden traces of both versions lock that, together with the
-//! seeded sweeps in `tests/tests/classify_kernels.rs`.
+//! ReLU has one explicit rule everywhere, [`crate::infer::relu`]: `v` if
+//! `v > 0`, else `+0.0` (what `vmaxps(v, 0)` computes). Where `f32::max`
+//! used to leave the sign of a `-0.0` input's result to code generation,
+//! the rule now gives `+0.0`; that is invisible downstream, because every
+//! ReLU output reaches only GEMMs (through the pool, in pooled convs):
+//! dense and CSR accumulators start at `+0.0`, and a sum with a `+0.0`
+//! operand is never `-0.0`, so a `±0` term never changes a result; v1's
+//! dense kernel skips `a == 0.0` terms, and int8 quantizes both zeros to
+//! `0`.
+//!
+//! The golden traces of both versions lock all of this, together with
+//! the seeded sweeps in `tests/tests/classify_kernels.rs`.
 
 use crate::infer::{
     self, CnnInfer, ConvInfer, ExecScratch, InferModel, LstmInfer, MatRep, TfInfer,
 };
-use crate::tensor::{
-    attention_scores_kernel, matmul_blocked_gather_kernel, matmul_kernel, scores_key_stride,
-    ConvGather,
-};
+use crate::tensor::{attention_scores_kernel, matmul_kernel, scores_key_stride, ConvGather};
 
 /// Which numerics generation a compiled plan (or ensemble scratch) runs —
 /// see the module docs for the contract each version carries.
@@ -122,8 +149,10 @@ enum KindPlan {
 }
 
 /// Ping-pong activation buffers plus the conv stages' GEMM staging.
-/// `cols` holds `im2col` patches only for stages that still lower through
-/// it (every stage under v1; CSR/int8 weights under v2).
+/// `cols` holds `im2col` patches and `flat` the plain GEMM result only
+/// for stages that still lower through `im2col` (every stage under v1;
+/// CSR/int8 weights under v2); `prepool` holds one window of a pooled
+/// stage's conv output.
 #[derive(Debug, Clone)]
 struct CnnPlan {
     a: Vec<f32>,
@@ -314,24 +343,20 @@ impl CnnPlan {
     }
 
     /// Buffer lengths `(act, cols, flat, prepool)` for `batch` windows.
-    /// Implicit stages stage nothing in `cols` and need `flat` for one
-    /// window only (their epilogue runs right after each window's GEMM);
-    /// `prepool` is always per-window.
+    /// Implicit stages stage nothing in `cols` or `flat` (their fused
+    /// epilogue stores straight into `prepool` or the next activations);
+    /// `prepool` is always per-window and only sized for pooled stages.
     fn sizes(m: &CnnInfer, version: PlanVersion, batch: usize) -> (usize, usize, usize, usize) {
         let mut act = m.channels * m.window;
         let (mut cols, mut flat, mut prepool) = (0usize, 0usize, 0usize);
         for conv in &m.convs {
-            let (ho, wo) = conv.conv_out();
-            let spots = ho * wo;
-            let cout = conv.bias.len();
-            let rows = if Self::implicit(conv, version) {
-                spots
-            } else {
-                cols = cols.max(batch * spots * conv.cin * conv.k * conv.k);
-                batch * spots
-            };
-            flat = flat.max(rows * cout);
-            prepool = prepool.max(cout * spots);
+            if !Self::implicit(conv, version) {
+                let (ho, wo) = conv.conv_out();
+                let rows = batch * ho * wo;
+                cols = cols.max(rows * conv.cin * conv.k * conv.k);
+                flat = flat.max(rows * conv.bias.len());
+            }
+            prepool = prepool.max(conv.prepool_len());
             act = act.max(conv.out_len());
         }
         (act * batch, cols, flat, prepool)
@@ -364,10 +389,11 @@ impl CnnPlan {
         self.flat.resize(flat, 0.0);
     }
 
-    /// The v2 forward. A dense-weight stage runs the implicit GEMM
-    /// ([`matmul_blocked_gather_kernel`]) window by window, reading the
+    /// The v2 forward. A dense-weight stage runs the implicit GEMM window
+    /// by window ([`ConvInfer::forward_implicit_into`]), reading the
     /// patches straight from the activations through the stage's offset
-    /// tables, with the bias/ReLU/pool epilogue right behind it. A CSR or
+    /// tables and storing `relu(acc + bias)` channel-major straight into
+    /// the next activations (or `prepool`, ahead of the pool). A CSR or
     /// int8 stage lowers **all** windows' patches into one stacked
     /// `[batch·spots, patch]` matrix and multiplies the weights once. The
     /// blocked GEMM is row-count invariant and the gather reads exactly
@@ -387,17 +413,11 @@ impl CnnPlan {
             let spots = gather.spots();
             let cout = conv.bias.len();
             let out_len = conv.out_len();
-            if let MatRep::Dense(w) = &conv.w {
+            if let MatRep::Dense(_) = &conv.w {
                 for b in 0..batch {
-                    matmul_blocked_gather_kernel(
+                    conv.forward_implicit_into(
                         &self.a[b * len..(b + 1) * len],
                         gather,
-                        w.data(),
-                        cout,
-                        &mut self.flat,
-                    );
-                    conv.bias_pool_into(
-                        &self.flat[..spots * cout],
                         &mut self.prepool,
                         &mut self.b[b * out_len..(b + 1) * out_len],
                     );
@@ -410,7 +430,8 @@ impl CnnPlan {
                         &mut self.cols[b * spots * patch..(b + 1) * spots * patch],
                     );
                 }
-                conv.w.left_matmul_into_v2(
+                // Not dense, so this is the CSR/int8 kernel v1 shares.
+                conv.w.left_matmul_into(
                     &self.cols[..batch * spots * patch],
                     batch * spots,
                     &mut self.flat,
@@ -613,13 +634,11 @@ impl TfPlan {
                     d,
                     t,
                     dh,
+                    scale,
                     &mut self.kt,
                     &mut self.scores,
                 );
                 infer::slice_cols_into(&self.v, t, d, col, dh, &mut self.head_v);
-                for s in &mut self.scores[..t * t] {
-                    *s *= scale;
-                }
                 infer::softmax_rows_slice(&mut self.scores, t, t);
                 matmul_kernel(&self.scores, &self.head_v, t, t, dh, &mut self.ho);
                 for ti in 0..t {
@@ -737,6 +756,7 @@ impl TfPlan {
                         d,
                         t,
                         dh,
+                        scale,
                         &mut self.kt,
                         &mut self.scores,
                     );
@@ -748,9 +768,6 @@ impl TfPlan {
                         dh,
                         &mut self.head_v,
                     );
-                    for s in &mut self.scores[..t * t] {
-                        *s *= scale;
-                    }
                     infer::softmax_rows_slice(&mut self.scores, t, t);
                     matmul_kernel(&self.scores, &self.head_v, t, t, dh, &mut self.ho);
                     for ti in 0..t {

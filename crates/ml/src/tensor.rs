@@ -10,6 +10,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::arena::ArenaVec;
+use crate::infer::Activation;
 
 /// A dense row-major tensor of `f32`.
 ///
@@ -230,7 +231,9 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Index of the maximum element in each row of a matrix.
+    /// Index of the maximum element in each row of a matrix, by
+    /// [`crate::ensemble::argmax`]'s rule (a NaN never wins; an all-NaN
+    /// row gives 0).
     ///
     /// # Panics
     ///
@@ -239,14 +242,7 @@ impl Tensor {
     pub fn argmax_rows(&self) -> Vec<usize> {
         let (m, n) = (self.rows(), self.cols());
         (0..m)
-            .map(|i| {
-                let row = &self.data[i * n..(i + 1) * n];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(j, _)| j)
-                    .unwrap_or(0)
-            })
+            .map(|i| crate::ensemble::argmax(&self.data[i * n..(i + 1) * n]))
             .collect()
     }
 
@@ -375,13 +371,15 @@ unsafe fn matmul_v1_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
 /// `out` is fully overwritten.
 ///
 /// On x86-64 hosts with AVX2 the kernel dispatches to an explicit SIMD
-/// variant ([`matmul_blocked_avx2`]) that vectorizes the `j` (output
-/// column) loop eight lanes wide. Column lanes are independent — the SIMD
-/// variant performs *exactly* the scalar kernel's per-element operations
-/// in the same order (multiply, pair-add, accumulate; no FMA contraction,
-/// no `k` reassociation beyond the pairing both variants share) — so
-/// hardware dispatch is **bit-invisible**: the same model produces the
-/// same v2 bits on every host, and the committed golden traces stay valid
+/// variant: [`matmul_blocked_avx2`] vectorizes the `j` (output column)
+/// loop eight lanes wide, and for narrow outputs (`n < 8`, such as a
+/// 3-class head) [`matmul_rowlane_avx2`] puts the lanes over eight rows
+/// instead. Lanes are independent either way — each SIMD variant performs
+/// *exactly* the scalar kernel's per-element operations in the same order
+/// (multiply, pair-add, accumulate; no FMA contraction, no `k`
+/// reassociation beyond the pairing all variants share) — so hardware
+/// dispatch is **bit-invisible**: the same model produces the same v2
+/// bits on every host, and the committed golden traces stay valid
 /// everywhere.
 ///
 /// # Panics
@@ -389,7 +387,39 @@ unsafe fn matmul_v1_avx2(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
 /// Panics if any slice is shorter than its `m`/`k`/`n` dimensions imply.
 pub fn matmul_blocked_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     assert!(a.len() >= m * k, "lhs shorter than m*k");
-    matmul_blocked_dispatch(DenseRows { a, k }, b, m, k, n, out);
+    let out = &mut out[..m * n];
+    matmul_blocked_dispatch(DenseRows { a, k }, b, m, k, n, Store { n }, out);
+}
+
+/// [`matmul_blocked_kernel`] with a linear stage's epilogue fused into the
+/// store: `out[i, j] = act(acc + bias[j])`, where `acc` is exactly the
+/// value [`matmul_blocked_kernel`] would have written. The bias add and
+/// the activation run on the finished accumulator while it is still in a
+/// register, in the order the separate bias and activation passes used,
+/// so the result is **bit-identical** to the GEMM followed by those passes
+/// (see [`crate::infer::Activation::apply`] for the activation rules).
+///
+/// # Panics
+///
+/// Panics if any slice is shorter than its `m`/`k`/`n` dimensions imply.
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_blocked_bias_act_kernel(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    bias: &[f32],
+    act: Activation,
+    out: &mut [f32],
+) {
+    assert!(a.len() >= m * k, "lhs shorter than m*k");
+    let ep = BiasAct {
+        n,
+        bias: &bias[..n],
+        act,
+    };
+    matmul_blocked_dispatch(DenseRows { a, k }, b, m, k, n, ep, &mut out[..m * n]);
 }
 
 /// [`matmul_blocked_kernel`] over the patches of one convolution input,
@@ -426,32 +456,92 @@ pub fn matmul_blocked_gather_kernel(
         base: &gather.base,
         off: &gather.off,
     };
-    matmul_blocked_dispatch(rows, b, gather.spots(), gather.patch(), n, out);
+    let (m, k) = (gather.spots(), gather.patch());
+    matmul_blocked_dispatch(rows, b, m, k, n, Store { n }, &mut out[..m * n]);
 }
 
-/// Zeroes `out` and runs the blocked GEMM body for left-operand reader
-/// `a`, dispatching to the AVX2 variant when it is enabled.
-fn matmul_blocked_dispatch<L: BlockedLhs>(
+/// One dense convolution stage of plan v2 in a single pass: the implicit
+/// GEMM of [`matmul_blocked_gather_kernel`] with the conv epilogue fused
+/// into its store. Output channel `c` of spot `s` lands channel-major at
+/// `out[c · spots + s] = relu(acc + bias[c])` ([`crate::infer::relu`]),
+/// where `acc` is exactly the value [`matmul_blocked_gather_kernel`] would
+/// have written at `[s, c]` — so the result is **bit-identical** to that
+/// kernel followed by the separate bias/ReLU/transpose pass, without the
+/// `[spots, cout]` staging buffer.
+///
+/// # Panics
+///
+/// Panics if `img` is shorter than the image `gather` was built for,
+/// `bias` shorter than `cout`, or `b`/`out` shorter than `patch × cout` /
+/// `cout × spots`.
+pub fn matmul_blocked_conv_kernel(
+    img: &[f32],
+    gather: &ConvGather,
+    b: &[f32],
+    bias: &[f32],
+    cout: usize,
+    out: &mut [f32],
+) {
+    assert!(
+        img.len() >= gather.img_len,
+        "image shorter than the gather expects"
+    );
+    let rows = GatherRows {
+        img: &img[..gather.img_len],
+        base: &gather.base,
+        off: &gather.off,
+    };
+    let spots = gather.spots();
+    let ep = ConvStore {
+        spots,
+        bias: &bias[..cout],
+    };
+    let out = &mut out[..cout * spots];
+    matmul_blocked_dispatch(rows, b, spots, gather.patch(), cout, ep, out);
+}
+
+/// Runs the blocked GEMM body for left-operand reader `a` and epilogue
+/// `ep` over `m` rows into `out` (which holds exactly the `m × n` outputs
+/// in the epilogue's layout), dispatching to an AVX2 variant when it is
+/// enabled: column lanes for `n ≥ 8`, row lanes for narrow `n` once there
+/// are eight rows to group.
+fn matmul_blocked_dispatch<L: BlockedLhs, E: Epilogue>(
     a: L,
     b: &[f32],
     m: usize,
     k: usize,
     n: usize,
+    ep: E,
     out: &mut [f32],
 ) {
     assert!(b.len() >= k * n, "rhs shorter than k*n");
-    let out = &mut out[..m * n];
-    out.fill(0.0);
+    assert_eq!(out.len(), m * n, "output holds m*n values");
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::enabled() && n >= 8 {
-        // SAFETY: AVX2 support was just detected, and `b`/`out` lengths
-        // were asserted above; the kernel's raw-pointer accesses touch
-        // only `b[..k*n]` and `out[..m*n]`, and every `a` read goes
-        // through the reader's own accessors.
-        unsafe { matmul_blocked_avx2(a, b, m, k, n, out) };
-        return;
+    if crate::simd::enabled() {
+        // SAFETY (all arms): AVX2 support was just detected, and the
+        // `b`/`out` lengths were asserted above. The kernels' raw-pointer
+        // reads touch only `b[..k*n]`, every `a` read goes through the
+        // reader's own accessors, and every store goes through the
+        // epilogue's bounds-checked stores.
+        if n >= 8 {
+            unsafe { matmul_blocked_avx2(a, b, m, k, n, ep, out) };
+            return;
+        }
+        if m >= 8 {
+            match n {
+                1 => unsafe { matmul_rowlane_avx2::<L, E, 1>(a, b, m, k, ep, out) },
+                2 => unsafe { matmul_rowlane_avx2::<L, E, 2>(a, b, m, k, ep, out) },
+                3 => unsafe { matmul_rowlane_avx2::<L, E, 3>(a, b, m, k, ep, out) },
+                4 => unsafe { matmul_rowlane_avx2::<L, E, 4>(a, b, m, k, ep, out) },
+                5 => unsafe { matmul_rowlane_avx2::<L, E, 5>(a, b, m, k, ep, out) },
+                6 => unsafe { matmul_rowlane_avx2::<L, E, 6>(a, b, m, k, ep, out) },
+                7 => unsafe { matmul_rowlane_avx2::<L, E, 7>(a, b, m, k, ep, out) },
+                _ => matmul_blocked_scalar(a, b, m, k, n, 0, 0, ep, out),
+            }
+            return;
+        }
     }
-    matmul_blocked_scalar(a, b, m, k, n, 0, out);
+    matmul_blocked_scalar(a, b, m, k, n, 0, 0, ep, out);
 }
 
 /// How the blocked GEMM reads its left operand: row `i` as a
@@ -463,9 +553,26 @@ trait BlockedLhs: Copy {
     fn row(self, i: usize) -> Self::Row;
 }
 
-/// One left-operand row: element `p` of `0..k`.
+/// One left-operand row: element `p` of `0..k`. The kernel bodies only
+/// ever ask for `p < k`.
 trait LhsRow: Copy {
     fn at(self, p: usize) -> f32;
+
+    /// Elements `p..p + 8` as one vector (`p + 8 <= k`).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load8(self, p: usize) -> std::arch::x86_64::__m256 {
+        std::arch::x86_64::_mm256_setr_ps(
+            self.at(p),
+            self.at(p + 1),
+            self.at(p + 2),
+            self.at(p + 3),
+            self.at(p + 4),
+            self.at(p + 5),
+            self.at(p + 6),
+            self.at(p + 7),
+        )
+    }
 }
 
 /// A row-major `[m, k]` slice.
@@ -475,19 +582,40 @@ struct DenseRows<'a> {
     k: usize,
 }
 
+/// One row of [`DenseRows`]: a slice of exactly `k` elements (cut with a
+/// bounds check in [`DenseRows::row`], once per row).
+#[derive(Clone, Copy)]
+struct DenseRow<'a>(&'a [f32]);
+
 impl<'a> BlockedLhs for DenseRows<'a> {
-    type Row = &'a [f32];
+    type Row = DenseRow<'a>;
 
     #[inline(always)]
-    fn row(self, i: usize) -> &'a [f32] {
-        &self.a[i * self.k..(i + 1) * self.k]
+    fn row(self, i: usize) -> DenseRow<'a> {
+        DenseRow(&self.a[i * self.k..(i + 1) * self.k])
     }
 }
 
-impl LhsRow for &[f32] {
+impl LhsRow for DenseRow<'_> {
     #[inline(always)]
     fn at(self, p: usize) -> f32 {
-        self[p]
+        debug_assert!(p < self.0.len(), "dense read past the row");
+        // SAFETY: `DenseRows::row` cut this row with a checked slice of
+        // exactly `k` elements, and every kernel loop that reads it is
+        // bounded by `p < k` (`p + 2 <= k` for pairs, `p < k` for the odd
+        // tail). Skipping the per-element check took the dense
+        // artifact's seven transformer linears at a 64-window batch from
+        // 718 to 627 µs (best of ten, 2-vCPU AVX2 host).
+        unsafe { *self.0.get_unchecked(p) }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load8(self, p: usize) -> std::arch::x86_64::__m256 {
+        debug_assert!(p + 8 <= self.0.len(), "dense read past the row");
+        // SAFETY: as for `at`; the row-lane kernel's tile loop is bounded
+        // by `p + 8 <= k`.
+        std::arch::x86_64::_mm256_loadu_ps(self.0.as_ptr().add(p))
     }
 }
 
@@ -600,76 +728,239 @@ impl ConvGather {
     }
 }
 
-/// The scalar reference body of the blocked GEMM, restricted to the
-/// column range `[j0, n)` so it also serves as the SIMD variant's column
-/// tail. `out` rows outside the range are left untouched; accumulation
-/// starts from the (pre-zeroed) buffer contents.
-fn matmul_blocked_scalar<L: BlockedLhs>(
+/// How the blocked GEMM finishes and stores each output once its
+/// accumulator is complete. The kernel bodies are generic over this and
+/// monomorphized per epilogue; every variant (scalar, column lanes, row
+/// lanes) hands each output's accumulator to the same epilogue, so the
+/// SIMD stores must apply exactly [`Epilogue::store`]'s rule.
+trait Epilogue: Copy {
+    /// Finishes output `(i, j)` from its accumulator and stores it.
+    fn store(self, out: &mut [f32], i: usize, j: usize, acc: f32);
+
+    /// [`Epilogue::store`] for columns `j..j + 8` of row `i`. Implementations
+    /// enable AVX2; the caller must have checked it is available.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn store8(self, out: &mut [f32], i: usize, j: usize, acc: std::arch::x86_64::__m256);
+
+    /// [`Epilogue::store8`] for rows `i..i + 4`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store4x8(
+        self,
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        acc: [std::arch::x86_64::__m256; 4],
+    ) {
+        for (r, v) in acc.into_iter().enumerate() {
+            self.store8(out, i + r, j, v);
+        }
+    }
+}
+
+/// Plain row-major `[m, n]` store of the accumulator.
+#[derive(Clone, Copy)]
+struct Store {
+    n: usize,
+}
+
+impl Epilogue for Store {
+    #[inline(always)]
+    fn store(self, out: &mut [f32], i: usize, j: usize, acc: f32) {
+        out[i * self.n + j] = acc;
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store8(self, out: &mut [f32], i: usize, j: usize, acc: std::arch::x86_64::__m256) {
+        let at = i * self.n + j;
+        std::arch::x86_64::_mm256_storeu_ps(out[at..at + 8].as_mut_ptr(), acc);
+    }
+}
+
+/// Row-major `[m, n]` store of `act(acc + bias[j])`.
+#[derive(Clone, Copy)]
+struct BiasAct<'a> {
+    n: usize,
+    bias: &'a [f32],
+    act: Activation,
+}
+
+impl Epilogue for BiasAct<'_> {
+    #[inline(always)]
+    fn store(self, out: &mut [f32], i: usize, j: usize, acc: f32) {
+        out[i * self.n + j] = self.act.apply(acc + self.bias[j]);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store8(self, out: &mut [f32], i: usize, j: usize, acc: std::arch::x86_64::__m256) {
+        use std::arch::x86_64::{_mm256_add_ps, _mm256_loadu_ps, _mm256_storeu_ps};
+        let at = i * self.n + j;
+        let dst = &mut out[at..at + 8];
+        let v = _mm256_add_ps(acc, _mm256_loadu_ps(self.bias[j..j + 8].as_ptr()));
+        match self.act {
+            Activation::None => _mm256_storeu_ps(dst.as_mut_ptr(), v),
+            Activation::Relu => _mm256_storeu_ps(dst.as_mut_ptr(), relu8(v)),
+            Activation::Tanh => {
+                // No vector tanh: the lanes take the scalar rule one by one.
+                _mm256_storeu_ps(dst.as_mut_ptr(), v);
+                for o in dst {
+                    *o = self.act.apply(*o);
+                }
+            }
+        }
+    }
+}
+
+/// The conv epilogue: `relu(acc + bias[c])` stored channel-major, output
+/// `(spot s, channel c)` at `out[c · spots + s]`.
+#[derive(Clone, Copy)]
+struct ConvStore<'a> {
+    spots: usize,
+    bias: &'a [f32],
+}
+
+impl Epilogue for ConvStore<'_> {
+    #[inline(always)]
+    fn store(self, out: &mut [f32], i: usize, j: usize, acc: f32) {
+        out[j * self.spots + i] = crate::infer::relu(acc + self.bias[j]);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store8(self, out: &mut [f32], i: usize, j: usize, acc: std::arch::x86_64::__m256) {
+        use std::arch::x86_64::{_mm256_add_ps, _mm256_loadu_ps, _mm256_storeu_ps};
+        let bias = _mm256_loadu_ps(self.bias[j..j + 8].as_ptr());
+        let v = relu8(_mm256_add_ps(acc, bias));
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), v);
+        for (c, &x) in lanes.iter().enumerate() {
+            out[(j + c) * self.spots + i] = x;
+        }
+    }
+
+    /// Four spots × eight channels: a 4×8 register transpose turns the
+    /// row accumulators into one 4-spot run per channel.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store4x8(
+        self,
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        acc: [std::arch::x86_64::__m256; 4],
+    ) {
+        use std::arch::x86_64::{
+            _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_loadu_ps,
+            _mm256_shuffle_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_storeu_ps,
+        };
+        let bias = _mm256_loadu_ps(self.bias[j..j + 8].as_ptr());
+        let [r0, r1, r2, r3] = acc.map(|v| relu8(_mm256_add_ps(v, bias)));
+        let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+        let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+        // Channel c (and c + 4 in the high half) of spots i..i + 4.
+        let chans = [
+            _mm256_shuffle_ps::<0x44>(t0, t2),
+            _mm256_shuffle_ps::<0xEE>(t0, t2),
+            _mm256_shuffle_ps::<0x44>(t1, t3),
+            _mm256_shuffle_ps::<0xEE>(t1, t3),
+        ];
+        for (c, v) in chans.into_iter().enumerate() {
+            let lo = (j + c) * self.spots + i;
+            let hi = (j + c + 4) * self.spots + i;
+            _mm_storeu_ps(out[lo..lo + 4].as_mut_ptr(), _mm256_castps256_ps128(v));
+            _mm_storeu_ps(out[hi..hi + 4].as_mut_ptr(), _mm256_extractf128_ps::<1>(v));
+        }
+    }
+}
+
+/// [`crate::infer::relu`] on eight lanes: `vmaxps(v, 0)` returns its
+/// second operand unless `v > 0`, so NaN and `-0.0` both give `+0.0`,
+/// exactly the scalar rule.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn relu8(v: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::{_mm256_max_ps, _mm256_setzero_ps};
+    _mm256_max_ps(v, _mm256_setzero_ps())
+}
+
+/// The scalar reference body of the blocked GEMM over rows `[i0, m)` and
+/// columns `[j0, n)`, so it also serves as the column tail of
+/// [`matmul_blocked_avx2`] and the row tail of [`matmul_rowlane_avx2`].
+/// Rows advance four at a time, columns in chunks of up to eight whose
+/// accumulators start at `+0.0`; each finished accumulator goes to the
+/// epilogue. Outputs outside the range are left untouched.
+#[allow(clippy::too_many_arguments)]
+fn matmul_blocked_scalar<L: BlockedLhs, E: Epilogue>(
     a: L,
     b: &[f32],
     m: usize,
     k: usize,
     n: usize,
+    i0: usize,
     j0: usize,
+    ep: E,
     out: &mut [f32],
 ) {
-    let mut i = 0;
+    let mut i = i0;
     while i + 4 <= m {
-        let (o0, rest) = out[i * n..(i + 4) * n].split_at_mut(n);
-        let (o1, rest) = rest.split_at_mut(n);
-        let (o2, o3) = rest.split_at_mut(n);
-        let (a0, a1, a2, a3) = (a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3));
-        let mut p = 0;
-        while p + 2 <= k {
-            let b0 = &b[p * n..(p + 1) * n];
-            let b1 = &b[(p + 1) * n..(p + 2) * n];
-            let (x00, x01) = (a0.at(p), a0.at(p + 1));
-            let (x10, x11) = (a1.at(p), a1.at(p + 1));
-            let (x20, x21) = (a2.at(p), a2.at(p + 1));
-            let (x30, x31) = (a3.at(p), a3.at(p + 1));
-            for j in j0..n {
-                let (v0, v1) = (b0[j], b1[j]);
-                o0[j] += x00 * v0 + x01 * v1;
-                o1[j] += x10 * v0 + x11 * v1;
-                o2[j] += x20 * v0 + x21 * v1;
-                o3[j] += x30 * v0 + x31 * v1;
-            }
-            p += 2;
-        }
-        if p < k {
-            let b0 = &b[p * n..(p + 1) * n];
-            let (x0, x1, x2, x3) = (a0.at(p), a1.at(p), a2.at(p), a3.at(p));
-            for j in j0..n {
-                let v0 = b0[j];
-                o0[j] += x0 * v0;
-                o1[j] += x1 * v0;
-                o2[j] += x2 * v0;
-                o3[j] += x3 * v0;
-            }
-        }
+        let rows = [a.row(i), a.row(i + 1), a.row(i + 2), a.row(i + 3)];
+        scalar_rows(rows, b, k, n, i, j0, ep, out);
         i += 4;
     }
     while i < m {
-        let arow = a.row(i);
-        let orow = &mut out[i * n..(i + 1) * n];
+        scalar_rows([a.row(i)], b, k, n, i, j0, ep, out);
+        i += 1;
+    }
+}
+
+/// [`matmul_blocked_scalar`] for the `ROWS` rows starting at `i`: per output
+/// `acc = +0.0`, then `acc + (a0·b0 + a1·b1)` for each `k` pair, then
+/// `acc + a·b` for an odd last `k`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn scalar_rows<R: LhsRow, E: Epilogue, const ROWS: usize>(
+    rows: [R; ROWS],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    i: usize,
+    j0: usize,
+    ep: E,
+    out: &mut [f32],
+) {
+    let mut j = j0;
+    while j < n {
+        let w = (n - j).min(8);
+        let mut acc = [[0.0f32; 8]; ROWS];
         let mut p = 0;
         while p + 2 <= k {
-            let b0 = &b[p * n..(p + 1) * n];
-            let b1 = &b[(p + 1) * n..(p + 2) * n];
-            let (x0, x1) = (arow.at(p), arow.at(p + 1));
-            for j in j0..n {
-                orow[j] += x0 * b0[j] + x1 * b1[j];
+            let b0 = &b[p * n + j..p * n + j + w];
+            let b1 = &b[(p + 1) * n + j..(p + 1) * n + j + w];
+            for (acc, row) in acc.iter_mut().zip(rows) {
+                let (x0, x1) = (row.at(p), row.at(p + 1));
+                for ((o, &v0), &v1) in acc.iter_mut().zip(b0).zip(b1) {
+                    *o += x0 * v0 + x1 * v1;
+                }
             }
             p += 2;
         }
         if p < k {
-            let b0 = &b[p * n..(p + 1) * n];
-            let x0 = arow.at(p);
-            for j in j0..n {
-                orow[j] += x0 * b0[j];
+            let b0 = &b[p * n + j..p * n + j + w];
+            for (acc, row) in acc.iter_mut().zip(rows) {
+                let x0 = row.at(p);
+                for (o, &v0) in acc.iter_mut().zip(b0) {
+                    *o += x0 * v0;
+                }
             }
         }
-        i += 1;
+        for (r, acc) in acc.iter().enumerate() {
+            for (l, &v) in acc[..w].iter().enumerate() {
+                ep.store(out, i + r, j + l, v);
+            }
+        }
+        j += w;
     }
 }
 
@@ -686,20 +977,20 @@ fn matmul_blocked_scalar<L: BlockedLhs>(
 /// # Safety
 ///
 /// Caller must ensure AVX2 is available and that `b.len() >= k*n`,
-/// `out.len() >= m*n`, and that `a` yields `m` rows of `k` elements.
+/// and that `a` yields `m` rows of `k` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_blocked_avx2<L: BlockedLhs>(
+unsafe fn matmul_blocked_avx2<L: BlockedLhs, E: Epilogue>(
     a: L,
     b: &[f32],
     m: usize,
     k: usize,
     n: usize,
+    ep: E,
     out: &mut [f32],
 ) {
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
     };
     let panels = n - n % 8;
     let mut i = 0;
@@ -744,10 +1035,7 @@ unsafe fn matmul_blocked_avx2<L: BlockedLhs>(
                 c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(a2.at(p)), b0));
                 c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(a3.at(p)), b0));
             }
-            _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j), c0);
-            _mm256_storeu_ps(out.as_mut_ptr().add((i + 1) * n + j), c1);
-            _mm256_storeu_ps(out.as_mut_ptr().add((i + 2) * n + j), c2);
-            _mm256_storeu_ps(out.as_mut_ptr().add((i + 3) * n + j), c3);
+            ep.store4x8(out, i, j, [c0, c1, c2, c3]);
             j += 8;
         }
         i += 4;
@@ -772,14 +1060,147 @@ unsafe fn matmul_blocked_avx2<L: BlockedLhs>(
                 let b0 = _mm256_loadu_ps(b.as_ptr().add(p * n + j));
                 c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(arow.at(p)), b0));
             }
-            _mm256_storeu_ps(out.as_mut_ptr().add(i * n + j), c0);
+            ep.store8(out, i, j, c0);
             j += 8;
         }
         i += 1;
     }
     if panels < n {
-        matmul_blocked_scalar(a, b, m, k, n, panels, out);
+        matmul_blocked_scalar(a, b, m, k, n, 0, panels, ep, out);
     }
+}
+
+/// AVX2 variant of the blocked GEMM for narrow outputs (`N < 8` columns):
+/// lanes run over eight rows instead of columns, so a 3-class head keeps
+/// all eight lanes busy. Each group of eight rows loads its `a` rows
+/// eight `k` at a time and transposes that 8×8 tile in registers, giving
+/// one vector per `k` that holds the eight rows' values; every column
+/// then accumulates `acc + (a0·b0 + a1·b1)` per `k` pair with `b`
+/// broadcast, then the odd-`k` tail — per output exactly
+/// [`matmul_blocked_scalar`]'s sequence, no FMA, so lanes only change
+/// which independent rows advance together. Rows `m - m % 8..` go through
+/// the scalar body.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 is available, `b.len() >= k*N`, and that `a`
+/// yields `m` rows of `k` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_rowlane_avx2<L: BlockedLhs, E: Epilogue, const N: usize>(
+    a: L,
+    b: &[f32],
+    m: usize,
+    k: usize,
+    ep: E,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setr_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    // acc[j] += (x0·b[p, j] + x1·b[p + 1, j]) for every column j.
+    let pair = |acc: &mut [__m256; N], x0: __m256, x1: __m256, p: usize| {
+        let (b0, b1) = b[p * N..(p + 2) * N].split_at(N);
+        for ((c, &v0), &v1) in acc.iter_mut().zip(b0).zip(b1) {
+            let t = _mm256_add_ps(
+                _mm256_mul_ps(x0, _mm256_set1_ps(v0)),
+                _mm256_mul_ps(x1, _mm256_set1_ps(v1)),
+            );
+            *c = _mm256_add_ps(*c, t);
+        }
+    };
+    // Element p of each of the eight rows, as one vector.
+    let column = |rows: &[L::Row; 8], p: usize| {
+        _mm256_setr_ps(
+            rows[0].at(p),
+            rows[1].at(p),
+            rows[2].at(p),
+            rows[3].at(p),
+            rows[4].at(p),
+            rows[5].at(p),
+            rows[6].at(p),
+            rows[7].at(p),
+        )
+    };
+    let groups = m - m % 8;
+    let mut i = 0;
+    while i < groups {
+        let rows: [L::Row; 8] = std::array::from_fn(|r| a.row(i + r));
+        let mut acc = [_mm256_setzero_ps(); N];
+        let mut p = 0;
+        while p + 8 <= k {
+            let x = transpose8(rows.map(|row| row.load8(p)));
+            pair(&mut acc, x[0], x[1], p);
+            pair(&mut acc, x[2], x[3], p + 2);
+            pair(&mut acc, x[4], x[5], p + 4);
+            pair(&mut acc, x[6], x[7], p + 6);
+            p += 8;
+        }
+        while p + 2 <= k {
+            pair(&mut acc, column(&rows, p), column(&rows, p + 1), p);
+            p += 2;
+        }
+        if p < k {
+            let x0 = column(&rows, p);
+            for (c, &v0) in acc.iter_mut().zip(&b[p * N..(p + 1) * N]) {
+                *c = _mm256_add_ps(*c, _mm256_mul_ps(x0, _mm256_set1_ps(v0)));
+            }
+        }
+        for (j, &c) in acc.iter().enumerate() {
+            let mut lanes = [0.0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), c);
+            for (r, &v) in lanes.iter().enumerate() {
+                ep.store(out, i + r, j, v);
+            }
+        }
+        i += 8;
+    }
+    if groups < m {
+        matmul_blocked_scalar(a, b, m, k, N, groups, 0, ep, out);
+    }
+}
+
+/// Transposes an 8×8 tile held as eight row vectors into eight column
+/// vectors (lane `r` of result `c` is lane `c` of input `r`). Pure lane
+/// moves: no value changes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn transpose8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::{
+        _mm256_permute2f128_ps, _mm256_shuffle_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
+    };
+    let t = [
+        _mm256_unpacklo_ps(r[0], r[1]),
+        _mm256_unpackhi_ps(r[0], r[1]),
+        _mm256_unpacklo_ps(r[2], r[3]),
+        _mm256_unpackhi_ps(r[2], r[3]),
+        _mm256_unpacklo_ps(r[4], r[5]),
+        _mm256_unpackhi_ps(r[4], r[5]),
+        _mm256_unpacklo_ps(r[6], r[7]),
+        _mm256_unpackhi_ps(r[6], r[7]),
+    ];
+    // Columns c and c + 4 of rows 0..4 (u[c]) and rows 4..8 (u[c + 4]).
+    let u = [
+        _mm256_shuffle_ps::<0x44>(t[0], t[2]),
+        _mm256_shuffle_ps::<0xEE>(t[0], t[2]),
+        _mm256_shuffle_ps::<0x44>(t[1], t[3]),
+        _mm256_shuffle_ps::<0xEE>(t[1], t[3]),
+        _mm256_shuffle_ps::<0x44>(t[4], t[6]),
+        _mm256_shuffle_ps::<0xEE>(t[4], t[6]),
+        _mm256_shuffle_ps::<0x44>(t[5], t[7]),
+        _mm256_shuffle_ps::<0xEE>(t[5], t[7]),
+    ];
+    [
+        _mm256_permute2f128_ps::<0x20>(u[0], u[4]),
+        _mm256_permute2f128_ps::<0x20>(u[1], u[5]),
+        _mm256_permute2f128_ps::<0x20>(u[2], u[6]),
+        _mm256_permute2f128_ps::<0x20>(u[3], u[7]),
+        _mm256_permute2f128_ps::<0x31>(u[0], u[4]),
+        _mm256_permute2f128_ps::<0x31>(u[1], u[5]),
+        _mm256_permute2f128_ps::<0x31>(u[2], u[6]),
+        _mm256_permute2f128_ps::<0x31>(u[3], u[7]),
+    ]
 }
 
 /// The raw `a [m,k] × b^T (b [n,k]) -> out [m,n]` kernel behind
@@ -809,32 +1230,36 @@ pub fn scores_key_stride(t: usize) -> usize {
     t.next_multiple_of(8)
 }
 
-/// One attention head's scores `out [t, t] = q kᵀ`, read in place from
-/// the stacked projection rows: query `i` is `q[i·ld..i·ld + dh]` and key
-/// `j` is `k[j·ld..j·ld + dh]` (pass the slices starting at the head's
-/// first column and `ld = d_model`), so no per-head column copy is made.
+/// One attention head's scaled scores `out [t, t] = (q kᵀ) · scale`, read
+/// in place from the stacked projection rows: query `i` is
+/// `q[i·ld..i·ld + dh]` and key `j` is `k[j·ld..j·ld + dh]` (pass the
+/// slices starting at the head's first column and `ld = d_model`), so no
+/// per-head column copy is made.
 ///
 /// The keys are first transposed into `kt` (`[dh, scores_key_stride(t)]`,
 /// lanes past `t` zeroed), then every query accumulates all of its keys at
 /// once, lanes over keys. Per score the arithmetic is exactly
 /// [`matmul_t_kernel`]'s on the column-sliced head — `acc = +0.0`, then
 /// `acc += q[d]·k[d]` for `d` ascending, one rounded multiply and one
-/// rounded add per term (`vmulps`/`vaddps`, never FMA) — and lanes never
-/// mix, so the result is **bit-identical** to it on every input (up to
-/// the unspecified sign and payload of a NaN result), and the AVX2
-/// variant is bit-identical to the scalar body. Padded lanes are computed
-/// and discarded.
+/// rounded add per term (`vmulps`/`vaddps`, never FMA) — and the finished
+/// score is stored as `acc · scale`, the separate scaling pass it
+/// replaces. Lanes never mix, so the result is **bit-identical** to that
+/// pair of steps on every input (up to the unspecified sign and payload
+/// of a NaN result), and the AVX2 variant is bit-identical to the scalar
+/// body. Padded lanes are computed and discarded.
 ///
 /// # Panics
 ///
 /// Panics if `q`/`k` are shorter than `(t - 1)·ld + dh`, `ld < dh`, `kt`
 /// is shorter than `dh · scores_key_stride(t)` or `out` than `t · t`.
+#[allow(clippy::too_many_arguments)]
 pub fn attention_scores_kernel(
     q: &[f32],
     k: &[f32],
     ld: usize,
     t: usize,
     dh: usize,
+    scale: f32,
     kt: &mut [f32],
     out: &mut [f32],
 ) {
@@ -861,14 +1286,22 @@ pub fn attention_scores_kernel(
         // SAFETY: AVX2 support was just detected; `q` was asserted to hold
         // `t` rows of stride `ld`, `kt` is exactly `dh × tp` with `tp` a
         // multiple of 8, and `out` is exactly `t × t`.
-        unsafe { scores_avx2(q, ld, t, dh, kt, out) };
+        unsafe { scores_avx2(q, ld, t, dh, scale, kt, out) };
         return;
     }
-    scores_scalar(q, ld, t, dh, kt, out);
+    scores_scalar(q, ld, t, dh, scale, kt, out);
 }
 
 /// The scalar reference body of [`attention_scores_kernel`].
-fn scores_scalar(q: &[f32], ld: usize, t: usize, dh: usize, kt: &[f32], out: &mut [f32]) {
+fn scores_scalar(
+    q: &[f32],
+    ld: usize,
+    t: usize,
+    dh: usize,
+    scale: f32,
+    kt: &[f32],
+    out: &mut [f32],
+) {
     let tp = scores_key_stride(t);
     for (i, orow) in out.chunks_exact_mut(t).enumerate() {
         orow.fill(0.0);
@@ -877,12 +1310,16 @@ fn scores_scalar(q: &[f32], ld: usize, t: usize, dh: usize, kt: &[f32], out: &mu
                 *o += qv * kv;
             }
         }
+        for o in orow {
+            *o *= scale;
+        }
     }
 }
 
 /// AVX2 variant of [`attention_scores_kernel`]: four queries advance
 /// together over one eight-key panel, their accumulators in registers
-/// across the whole `d` loop. Per score the sequence is the scalar body's.
+/// across the whole `d` loop, scaled on the way out. Per score the
+/// sequence is the scalar body's.
 ///
 /// # Safety
 ///
@@ -890,14 +1327,24 @@ fn scores_scalar(q: &[f32], ld: usize, t: usize, dh: usize, kt: &[f32], out: &mu
 /// `kt.len() == dh · scores_key_stride(t)` and `out.len() == t · t`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn scores_avx2(q: &[f32], ld: usize, t: usize, dh: usize, kt: &[f32], out: &mut [f32]) {
+unsafe fn scores_avx2(
+    q: &[f32],
+    ld: usize,
+    t: usize,
+    dh: usize,
+    scale: f32,
+    kt: &[f32],
+    out: &mut [f32],
+) {
     use std::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
     };
     let tp = scores_key_stride(t);
-    // Stores the first `t - j` lanes of `acc` into score row `i`.
+    let vscale = _mm256_set1_ps(scale);
+    // Stores the first `t - j` lanes of `acc · scale` into score row `i`.
     let store = |out: &mut [f32], i: usize, j: usize, acc: __m256| {
+        let acc = _mm256_mul_ps(acc, vscale);
         let row = &mut out[i * t + j..(i + 1) * t];
         if row.len() >= 8 {
             _mm256_storeu_ps(row.as_mut_ptr(), acc);
@@ -1010,9 +1457,20 @@ mod tests {
         // Whatever SIMD variant the host dispatches to must reproduce the
         // scalar reference bit for bit — the committed v2 golden traces
         // depend on it. Shapes straddle the 4-row block, the 8-column
-        // panel and the paired-k tail.
+        // panel, the paired-k tail, and (n < 8, m >= 8) the row-lane
+        // kernel's 8-row groups, 8-k tiles and row tail.
         let mut rng = StdRng::seed_from_u64(7);
-        for (m, k, n) in [(1, 7, 3), (4, 8, 8), (6, 33, 19), (16, 40, 26), (5, 9, 8)] {
+        for (m, k, n) in [
+            (1, 7, 3),
+            (4, 8, 8),
+            (6, 33, 19),
+            (16, 40, 26),
+            (5, 9, 8),
+            (8, 8, 1),
+            (13, 19, 3),
+            (64, 40, 7),
+            (17, 2, 5),
+        ] {
             let a = Tensor::uniform(vec![m, k], 1.0, &mut rng);
             let b = Tensor::uniform(vec![k, n], 1.0, &mut rng);
             let mut dispatched = vec![0.0f32; m * n];
@@ -1025,6 +1483,8 @@ mod tests {
                 k,
                 n,
                 0,
+                0,
+                Store { n },
                 &mut scalar,
             );
             for (i, (x, y)) in scalar.iter().zip(&dispatched).enumerate() {
@@ -1073,6 +1533,21 @@ mod tests {
     fn argmax_rows_picks_largest() {
         let t = Tensor::new(vec![2, 3], vec![0.1, 0.9, 0.0, 0.5, 0.2, 0.8]);
         assert_eq!(t.argmax_rows(), vec![1, 2]);
+    }
+
+    #[test]
+    fn argmax_rows_is_total_over_nan() {
+        // A NaN never wins, an all-NaN row gives 0, and ±Inf compare as
+        // ordinary values — no row may panic.
+        let nan = f32::NAN;
+        let rows = [
+            [nan, 0.2, 0.1],
+            [0.3, nan, 0.9],
+            [nan, nan, nan],
+            [f32::NEG_INFINITY, nan, f32::INFINITY],
+        ];
+        let t = Tensor::new(vec![4, 3], rows.concat());
+        assert_eq!(t.argmax_rows(), vec![1, 2, 0, 2]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The classify kernels' bit-identity contract.
 //!
-//! Plan v2's convolution and attention stages run two kernels that exist
-//! only to do the same arithmetic with less work:
+//! Plan v2's classify stages run kernels that exist only to do the same
+//! arithmetic with less work:
 //!
 //! 1. the **implicit-GEMM conv** ([`matmul_blocked_gather_kernel`]) reads
 //!    each conv's patches straight from the input image through offset
@@ -13,20 +13,30 @@
 //!    computes one head's `q kᵀ` with lanes over keys from a transposed
 //!    copy of K, reading the heads in place from the stacked projection
 //!    rows, and must reproduce the column-sliced [`matmul_t_kernel`] bit
-//!    for bit.
+//!    for bit, including the score scaling it folds into its store;
+//! 3. the **fused linear epilogue** ([`LinearInfer::forward_into_v2`] on
+//!    dense weights, i.e. [`matmul_blocked_bias_act_kernel`]) must
+//!    reproduce [`matmul_blocked_kernel`] followed by the bias and
+//!    activation loops;
+//! 4. the **fused conv epilogue** ([`ConvInfer::forward_implicit_into`])
+//!    must reproduce [`matmul_blocked_gather_kernel`] followed by
+//!    [`ConvInfer::bias_pool_into`], pooled and unpooled;
+//! 5. the **row-lane narrow kernel** (what [`matmul_blocked_kernel`]
+//!    dispatches to for `n < 8`, `m ≥ 8` on AVX2) must reproduce a
+//!    per-element paired-`k` oracle written out below.
 //!
-//! Both sweeps are seeded and mix adversarial values (±0.0, denormals,
+//! The sweeps are seeded and mix adversarial values (±0.0, denormals,
 //! NaN, ±Inf) into ordinary ones; every output bit must match except the
 //! sign and payload of a NaN (see [`bits`]). They compare against
 //! whichever kernel bodies the process dispatches to; CI runs this file a
 //! second time under `COGARM_NO_SIMD=1`, so the scalar bodies are held to
 //! the same bits.
 
-use ml::infer::{ConvInfer, MatRep};
+use ml::infer::{Activation, ConvInfer, ExecScratch, LinearInfer, MatRep};
 use ml::models::PoolKind;
 use ml::tensor::{
-    attention_scores_kernel, matmul_blocked_gather_kernel, matmul_blocked_kernel, matmul_t_kernel,
-    scores_key_stride, Tensor,
+    attention_scores_kernel, matmul_blocked_bias_act_kernel, matmul_blocked_gather_kernel,
+    matmul_blocked_kernel, matmul_t_kernel, scores_key_stride, Tensor,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -184,15 +194,187 @@ fn score_kernel_matches_sliced_matmul_t_bitwise() {
                         .flat_map(|i| src[i * ld + col..i * ld + col + dh].iter().copied())
                         .collect()
                 };
+                let scale = 1.0 / (dh as f32).sqrt();
                 let mut want = vec![0.0f32; t * t];
                 matmul_t_kernel(&slice(&q), &slice(&k), t, dh, t, &mut want);
+                for s in &mut want {
+                    *s *= scale;
+                }
 
                 // Dirty scratch and output: padding lanes and stale
                 // scores must never leak into the result.
                 let mut kt = vec![f32::NAN; dh * scores_key_stride(t)];
                 let mut got = vec![-3.0f32; t * t];
-                attention_scores_kernel(&q[col..], &k[col..], ld, t, dh, &mut kt, &mut got);
+                attention_scores_kernel(&q[col..], &k[col..], ld, t, dh, scale, &mut kt, &mut got);
                 assert_eq!(bits(&want), bits(&got), "t {t} dh {dh} special {special}");
+            }
+        }
+    }
+}
+
+/// The activation rules the fused epilogues must reproduce, written out:
+/// ReLU is `v > 0 ? v : +0.0` (NaN and -0.0 give +0.0).
+fn reference_act(act: Activation, v: f32) -> f32 {
+    match act {
+        Activation::None => v,
+        Activation::Relu => {
+            if v > 0.0 {
+                v
+            } else {
+                0.0
+            }
+        }
+        Activation::Tanh => v.tanh(),
+    }
+}
+
+#[test]
+fn fused_linear_epilogue_matches_gemm_then_bias_act_bitwise() {
+    let mut case = 0u64;
+    for act in [Activation::None, Activation::Relu, Activation::Tanh] {
+        for n in [1usize, 2, 3, 7, 8, 9, 16, 32, 64] {
+            for m in [1usize, 3, 4, 5, 8, 9, 64, 1600] {
+                case += 1;
+                let k = [1usize, 2, 7, 16, 33][case as usize % 5];
+                let mut rng = StdRng::seed_from_u64(0xB1A5 + case);
+                let special = if case.is_multiple_of(4) { 0.0 } else { 0.03 };
+                let w = seeded_values(k * n, special, &mut rng);
+                let mut x = seeded_values(m * k, special, &mut rng);
+                let mut bias = seeded_values(n, 0.3, &mut rng);
+                // Column 0 gets a -0.0 bias and row 0 all -0.0 inputs, so
+                // acc + bias is +0.0 + -0.0 there: as close to -0.0 as the
+                // GEMM can get (every accumulator starts at +0.0, and a sum
+                // with a +0.0 operand is never -0.0). The last column gets
+                // a NaN bias, so NaN reaches the activation.
+                bias[0] = -0.0;
+                bias[n - 1] = f32::NAN;
+                x[..k].fill(-0.0);
+                let layer = LinearInfer {
+                    w: MatRep::Dense(Tensor::new(vec![k, n], w.clone())),
+                    bias: bias.clone(),
+                    act,
+                };
+
+                let mut want = vec![0.0f32; m * n];
+                matmul_blocked_kernel(&x, &w, m, k, n, &mut want);
+                for i in 0..m {
+                    for j in 0..n {
+                        want[i * n + j] += bias[j];
+                    }
+                }
+                for v in &mut want {
+                    *v = reference_act(act, *v);
+                }
+
+                let mut got = vec![5.0f32; m * n];
+                layer.forward_into_v2(&x, m, &mut got, &mut ExecScratch::default());
+                assert_eq!(bits(&want), bits(&got), "{act:?} m {m} k {k} n {n}");
+                if act == Activation::Relu {
+                    assert!(
+                        got.iter().all(|v| v.to_bits() != (-0.0f32).to_bits()),
+                        "ReLU produced -0.0 (m {m} k {k} n {n})"
+                    );
+                }
+                let mut direct = vec![-5.0f32; m * n];
+                matmul_blocked_bias_act_kernel(&x, &w, m, k, n, &bias, act, &mut direct);
+                assert_eq!(bits(&got), bits(&direct), "{act:?} m {m} k {k} n {n}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_conv_epilogue_matches_gather_gemm_then_bias_pool_bitwise() {
+    let (h, w) = (9usize, 21usize);
+    let mut case = 0u64;
+    for pool in [PoolKind::None, PoolKind::Max, PoolKind::Avg] {
+        for (cin, k, stride) in [(1usize, 5usize, 2usize), (2, 3, 1), (1, 3, 2)] {
+            for cout in [4usize, 6, 8, 9, 16] {
+                case += 1;
+                let mut rng = StdRng::seed_from_u64(0xC0B5 + case);
+                let special = if case.is_multiple_of(4) { 0.0 } else { 0.03 };
+                let patch = cin * k * k;
+                let weights = seeded_values(patch * cout, special, &mut rng);
+                let mut bias = seeded_values(cout, 0.3, &mut rng);
+                // -0.0 and NaN biases: see the linear sweep.
+                bias[0] = -0.0;
+                bias[cout - 1] = f32::NAN;
+                let conv = ConvInfer {
+                    w: MatRep::Dense(Tensor::new(vec![patch, cout], weights.clone())),
+                    bias,
+                    cin,
+                    h,
+                    wdim: w,
+                    k,
+                    stride,
+                    pool,
+                };
+                let mut img = seeded_values(cin * h * w, special, &mut rng);
+                // A -0.0 corner: the first spot's patch reads only -0.0.
+                for c in 0..cin {
+                    for dy in 0..k {
+                        img[c * h * w + dy * w..c * h * w + dy * w + k].fill(-0.0);
+                    }
+                }
+                let gather = conv.gather();
+                let spots = gather.spots();
+                let out_len = conv.out_len();
+
+                let mut flat = vec![0.0f32; spots * cout];
+                matmul_blocked_gather_kernel(&img, &gather, &weights, cout, &mut flat);
+                let mut prepool = vec![0.0f32; cout * spots];
+                let mut want = vec![0.0f32; out_len];
+                conv.bias_pool_into(&flat, &mut prepool, &mut want);
+
+                // Dirty scratch and output.
+                let mut prepool = vec![f32::NAN; conv.prepool_len()];
+                let mut got = vec![3.0f32; out_len];
+                let written = conv.forward_implicit_into(&img, &gather, &mut prepool, &mut got);
+                assert_eq!(written, out_len);
+                assert_eq!(
+                    bits(&want),
+                    bits(&got),
+                    "{pool:?} cin {cin} kernel {k} stride {stride} cout {cout}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn narrow_gemm_matches_paired_k_oracle_bitwise() {
+    let mut case = 0u64;
+    for n in [1usize, 2, 3, 5, 7] {
+        for m in [8usize, 9, 15, 64] {
+            for k in [1usize, 2, 7, 8, 9, 2304] {
+                case += 1;
+                let mut rng = StdRng::seed_from_u64(0x1A4E + case);
+                let special = if case.is_multiple_of(4) { 0.0 } else { 0.02 };
+                let a = seeded_values(m * k, special, &mut rng);
+                let b = seeded_values(k * n, special, &mut rng);
+
+                // Per output: +0.0, then acc + (a0·b0 + a1·b1) for each k
+                // pair, then acc + a·b for an odd last k.
+                let mut want = vec![0.0f32; m * n];
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = 0.0f32;
+                        let mut p = 0;
+                        while p + 2 <= k {
+                            acc +=
+                                a[i * k + p] * b[p * n + j] + a[i * k + p + 1] * b[(p + 1) * n + j];
+                            p += 2;
+                        }
+                        if p < k {
+                            acc += a[i * k + p] * b[p * n + j];
+                        }
+                        want[i * n + j] = acc;
+                    }
+                }
+
+                let mut got = vec![9.0f32; m * n];
+                matmul_blocked_kernel(&a, &b, m, k, n, &mut got);
+                assert_eq!(bits(&want), bits(&got), "m {m} k {k} n {n}");
             }
         }
     }
